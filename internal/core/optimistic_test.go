@@ -2,7 +2,11 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/epoch"
 	"repro/internal/index"
@@ -197,4 +201,131 @@ func TestOptimisticUnmigratedBucketEscalates(t *testing.T) {
 	if !r.RevalidateOptimistic(p) {
 		t.Fatal("post-migration probe does not revalidate")
 	}
+}
+
+// TestOptimisticReadersRacePageInChurn guards the rule that lets
+// hopscotch's Reset and DecodeFrom use plain stores: a table is
+// rewritten only while no optimistic reader can reach it. One writer
+// cycles 8 buckets through a 2-table cache, so nearly every operation
+// evicts a dirty table (unpublish, poison, write back, retire through
+// the epoch domain) and pages another in over a pooled table, while 4
+// readers probe lock-free under pins. Run with -race: a table handed
+// back to the pool past a pinned reader shows up as a data race, or as
+// a validated probe holding another signature's record pointer. Every
+// accepted probe also commits, which holds the entry's touch handle and
+// the recycled CLOCK node behind it to the same rule; the tinylfu
+// variant attaches the admission sketch so that the commit reads the
+// node's key as well.
+func TestOptimisticReadersRacePageInChurn(t *testing.T) {
+	const tableBytes = 1020
+	t.Run("clock", func(t *testing.T) {
+		racePageInChurn(t, Config{CacheBudget: 2 * tableBytes}, func(*RHIK) {})
+	})
+	t.Run("tinylfu", func(t *testing.T) {
+		// TinyLFU never lets uniform traffic displace two tables the
+		// readers keep hot, so the writer makes the room itself: shrink
+		// to one table (an eviction), grow back (the next page-in fits
+		// the budget and lands without a duel).
+		racePageInChurn(t, Config{CacheBudget: 2 * tableBytes, Admission: true}, func(r *RHIK) {
+			r.ResizeCache(tableBytes)
+			r.ResizeCache(2 * tableBytes)
+		})
+	})
+}
+
+func racePageInChurn(t *testing.T, cfg Config, beforeInsert func(*RHIK)) {
+	const (
+		buckets = 8
+		ids     = 160 // 20 per bucket of 60 slots: no resize, no collisions
+		readers = 4
+	)
+	dom := epoch.NewDomain()
+	cfg.PageSize = 1024
+	cfg.AnticipatedKeys = buckets * 60
+	cfg.Reclaim = dom
+	r, env := newTestRHIK(t, cfg)
+	if r.DirEntries() != buckets || r.RecordsPerTable() != 60 {
+		t.Fatalf("geometry D=%d R=%d, want %d buckets of 60", r.DirEntries(), r.RecordsPerTable(), buckets)
+	}
+	// The record pointer carries its signature's id in the high bits and
+	// a version in the low 16, so a reader can tell whose record it got.
+	sigOf := func(id uint64) index.Sig { return sig64(id<<3 | id%buckets) }
+	rpOf := func(id, ver uint64) uint64 { return id<<16 | ver&0xffff }
+	last := make([]uint64, ids) // what the writer stored last, per id
+	for id := uint64(0); id < ids; id++ {
+		last[id] = rpOf(id, 0)
+		if _, _, err := r.Insert(sigOf(id), last[id]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var stop atomic.Bool
+	var accepted, retries atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			for i := seed; !stop.Load(); i++ {
+				id := i % ids
+				pin, ok := dom.TryPin()
+				if !ok {
+					continue
+				}
+				p, st := r.PeekOptimistic(sigOf(id))
+				switch {
+				case st == index.OptRetry:
+					retries.Add(1)
+				case st == index.OptOK && !r.RevalidateOptimistic(p):
+					retries.Add(1)
+				case st == index.OptOK:
+					accepted.Add(1)
+					if !p.Found || p.RP>>16 != id {
+						t.Errorf("validated probe for id %d = (rp %#x, found %v)", id, p.RP, p.Found)
+						stop.Store(true)
+					}
+					r.CommitOptimistic(p)
+				}
+				dom.Unpin(pin)
+			}
+		}(uint64(g) * 41)
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for round := uint64(1); !stop.Load(); round++ {
+		id := round * 7 % ids
+		beforeInsert(r)
+		last[id] = rpOf(id, round)
+		if _, _, err := r.Insert(sigOf(id), last[id]); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		dom.Collect()
+		if round%256 == 0 {
+			runtime.Gosched()
+			if (round >= 4000 && accepted.Load() > 2000 && retries.Load() > 0) || time.Now().After(deadline) {
+				break
+			}
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	// No update may have gone into a table that was already on its way
+	// out: readers touching the resident tables' reference bits during
+	// the writer's sweep must not get the table being cached evicted.
+	for id, want := range last {
+		if got, ok, err := r.Lookup(sigOf(uint64(id))); err != nil || !ok || got != want {
+			t.Fatalf("id %d reads back (%#x, %v, %v), want %#x", id, got, ok, err, want)
+		}
+	}
+	if cs := r.CacheStats(); env.appends < 1000 || env.reads < 1000 || cs.Evictions < 1000 {
+		t.Fatalf("only %d write-backs, %d page-ins and %d evictions: the cache never churned", env.appends, env.reads, cs.Evictions)
+	}
+	if accepted.Load() == 0 {
+		t.Skip("no optimistic probe validated between evictions (single-core timing)")
+	}
+	if retries.Load() == 0 {
+		t.Skip("schedule never overlapped a probe with a page-in; nothing exercised (single-core timing)")
+	}
+	t.Logf("write-backs=%d page-ins=%d accepted=%d retries=%d", env.appends, env.reads, accepted.Load(), retries.Load())
 }

@@ -164,6 +164,11 @@ type tableEntry struct {
 	// (admission-rejected, never cached) entries use it to write back
 	// their mutations at end of op.
 	bucket uint64
+	// h is the entry's cache touch handle, set by publish before the
+	// entry becomes reachable, so an optimistic reader that validates
+	// can replicate the locked path's hit accounting and CLOCK recency
+	// without the key map. The zero Handle marks a never-published entry.
+	h dram.Handle[*tableEntry]
 }
 
 // generation is one directory generation: the dirEntry slice plus, per
@@ -176,22 +181,14 @@ type tableEntry struct {
 // commits can touch CLOCK state without racing the writer's cache swap.
 type generation struct {
 	dirs     []dirEntry
-	resident []atomic.Pointer[residentRef]
+	resident []atomic.Pointer[tableEntry]
 	cache    *dram.Cache[*tableEntry]
-}
-
-// residentRef pairs a published table entry with its cache touch
-// handle, so an optimistic reader that validates can replicate the
-// locked path's hit accounting and CLOCK recency without the key map.
-type residentRef struct {
-	e *tableEntry
-	h dram.Handle[*tableEntry]
 }
 
 func newGeneration(d int) *generation {
 	return &generation{
 		dirs:     make([]dirEntry, d),
-		resident: make([]atomic.Pointer[residentRef], d),
+		resident: make([]atomic.Pointer[tableEntry], d),
 	}
 }
 
@@ -212,6 +209,7 @@ type RHIK struct {
 	live  map[nand.PPA]uint64        // persisted page -> bucket, for index-zone GC
 	pool  []*hopscotch.Table         // recycled tables; avoids per-miss allocation
 	epool []*tableEntry              // recycled cache entries; keeps misses alloc-free
+	wbuf  []byte                     // spare page-image buffer, nil while checked out; see writeTable
 	mig   *migration                 // in-flight incremental re-configuration
 
 	// sketch is the TinyLFU admission filter shared across directory
@@ -327,7 +325,11 @@ func (r *RHIK) setIOErr(err error) {
 
 // retireEntry returns an entry that may have been reader-reachable to
 // the pools — immediately without a reclaim domain, otherwise deferred
-// past every pinned reader epoch.
+// past every pinned reader epoch. Everything that was ever published
+// comes back through here, which is what lets takeTable's callers
+// rewrite a pooled table with hopscotch's plain-store Reset/DecodeFrom:
+// no optimistic reader can still hold it, and it is published again
+// only by publish's atomic pointer store, after the rewrite.
 func (r *RHIK) retireEntry(e *tableEntry) {
 	if r.reclaim == nil {
 		r.recycleEntry(e)
@@ -340,7 +342,8 @@ func (r *RHIK) retireEntry(e *tableEntry) {
 // Call after every cache.Put of a non-empty table.
 func (r *RHIK) publish(g *generation, bucket uint64, e *tableEntry) {
 	if h, ok := g.cache.Handle(bucket); ok {
-		g.resident[bucket].Store(&residentRef{e: e, h: h})
+		e.h = h
+		g.resident[bucket].Store(e)
 	}
 }
 
@@ -384,20 +387,38 @@ func (r *RHIK) takeEntry(t *hopscotch.Table) *tableEntry {
 	return &tableEntry{table: t}
 }
 
-// recycleEntry returns an entry and its table to their pools.
+// recycleEntry returns an entry, its table and (if it was ever cached)
+// its cache node to their pools. The node goes to the current cache,
+// which after a resize is not the one it came out of. That is harmless:
+// a node holds nothing of its cache — the Put that reuses it rewrites
+// key, value, size and ring position — and by the time an entry gets
+// here no reader of either generation can still redeem its handle.
 func (r *RHIK) recycleEntry(e *tableEntry) {
 	r.recycle(e.table)
 	e.table = nil
+	r.cache.Recycle(e.h)
+	e.h = dram.Handle[*tableEntry]{}
 	if len(r.epool) < 64 {
 		r.epool = append(r.epool, e)
 	}
 }
 
 // writeTable persists a record table and repoints its directory entry.
+// Every table of one RHIK has the same image size and Env.AppendPage
+// copies what it programs, so write-backs share one encode buffer. They
+// do nest, though: AppendPage may run GC, whose relocations come back
+// into the index, page a table in and evict another dirty one. The
+// buffer is therefore checked out for the duration of the call, and a
+// nested write-back, finding none, allocates its own.
 func (r *RHIK) writeTable(dirs []dirEntry, bucket uint64, e *tableEntry) error {
-	buf := make([]byte, e.table.EncodedBytes())
+	buf := r.wbuf
+	r.wbuf = nil
+	if buf == nil {
+		buf = make([]byte, e.table.EncodedBytes())
+	}
 	e.table.EncodeTo(buf)
 	ppa, err := r.env.AppendPage(buf)
+	r.wbuf = buf
 	if err != nil {
 		return err
 	}
@@ -584,8 +605,8 @@ type OptProbe struct {
 	RP    uint64
 	Found bool
 
-	ref   *residentRef
-	slot  *atomic.Pointer[residentRef]
+	ref   *tableEntry
+	slot  *atomic.Pointer[tableEntry]
 	seq   uint64
 	cache *dram.Cache[*tableEntry]
 }
@@ -616,7 +637,7 @@ func (r *RHIK) PeekOptimistic(sig index.Sig) (OptProbe, index.OptStatus) {
 		// the exclusive path (flash load / migration step).
 		return OptProbe{}, index.OptNeedExclusive
 	}
-	t := ref.e.table
+	t := ref.table
 	v, ok := t.SeqSnapshot()
 	if !ok {
 		return OptProbe{}, index.OptRetry
@@ -635,7 +656,7 @@ func (r *RHIK) PeekOptimistic(sig index.Sig) (OptProbe, index.OptStatus) {
 // the read's linearization point. Requires the same epoch pin as the
 // probe.
 func (r *RHIK) RevalidateOptimistic(p OptProbe) bool {
-	return p.ref.e.table.SeqValidate(p.seq) && p.slot.Load() == p.ref
+	return p.ref.table.SeqValidate(p.seq) && p.slot.Load() == p.ref
 }
 
 // CommitOptimistic applies the cache side effects a locked Lookup would

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/hopscotch"
 	"repro/internal/index"
 	"repro/internal/nand"
 	"repro/internal/sim"
@@ -532,5 +533,78 @@ func TestDirectoryDRAMFootprintSmall(t *testing.T) {
 	perKey := float64(r.DirEntries()*5) / 1_000_000
 	if perKey > 0.01 {
 		t.Fatalf("directory costs %.4f bytes/key, want < 0.01", perKey)
+	}
+}
+
+// gcEnv is a memEnv whose AppendPage first does what the device's does
+// when the index log needs a block and free blocks are at low water:
+// run GC, whose relocations look keys up in the index. One level of
+// that is enough to nest a second write-back inside the first.
+type gcEnv struct {
+	*memEnv
+	gc     func() // re-enters the index; nil outside the churn phase
+	depth  int
+	nested int // write-backs that ran inside another one's AppendPage
+}
+
+func (e *gcEnv) AppendPage(data []byte) (nand.PPA, error) {
+	e.depth++
+	defer func() { e.depth-- }()
+	if e.depth > 1 {
+		e.nested++
+	} else if e.gc != nil {
+		e.gc()
+	}
+	return e.memEnv.AppendPage(data)
+}
+
+func TestWriteBackNestedInsideWriteBack(t *testing.T) {
+	// Sixteen buckets behind an eight-table cache, the writer walking the
+	// buckets round-robin so every insert misses and every resident table
+	// is dirty. Paging a table in evicts a dirty victim, whose AppendPage
+	// re-enters the index for a non-resident bucket, which evicts and
+	// writes back a second dirty table before the first one's page image
+	// has been programmed. Both images must land intact.
+	const buckets, perBucket, tableBytes = 16, 100, 240 * hopscotch.SlotSize
+	env := &gcEnv{memEnv: newMemEnv()}
+	r, err := New(Config{PageSize: 4096, AnticipatedKeys: buckets * 240, CacheBudget: 8 * tableBytes}, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.DirEntries() != buckets {
+		t.Fatalf("D = %d, want %d", r.DirEntries(), buckets)
+	}
+	want := make(map[uint64]uint64)
+	put := func(lo, rp uint64) {
+		t.Helper()
+		if _, _, err := r.Insert(sig64(lo), rp); err != nil {
+			t.Fatalf("Insert(%d): %v", lo, err)
+		}
+		want[lo] = rp
+	}
+	for lo := uint64(0); lo < buckets*perBucket; lo++ {
+		put(lo, lo+1)
+	}
+
+	var next uint64
+	env.gc = func() {
+		for ; r.cache.Contains(next % buckets); next++ {
+		}
+		if _, ok, err := r.Lookup(sig64(next % buckets)); err != nil || !ok {
+			t.Fatalf("GC lookup in bucket %d = (%v, %v)", next%buckets, ok, err)
+		}
+	}
+	for i := uint64(0); i < 4000; i++ {
+		put(i%(buckets*perBucket), 1_000_000+i)
+	}
+	env.gc = nil
+	if env.nested == 0 {
+		t.Fatal("no write-back ever nested inside another; the test exercises nothing")
+	}
+
+	for lo, rp := range want {
+		if got, ok, err := r.Lookup(sig64(lo)); err != nil || !ok || got != rp {
+			t.Fatalf("after %d nested write-backs: Lookup(%d) = (%d, %v, %v), want %d", env.nested, lo, got, ok, err, rp)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/ftl"
 	"repro/internal/index"
 	"repro/internal/nand"
 	"repro/internal/sim"
@@ -682,6 +683,52 @@ func TestCheckpointPagesSurviveIndexZoneGC(t *testing.T) {
 	for i := 0; i < n; i += 89 {
 		if got := mustGet(t, d, key(i)); !bytes.Equal(got, val(i, 16)) {
 			t.Fatalf("key %d lost after double crash", i)
+		}
+	}
+}
+
+func TestIndexZoneGCReadsOnlyValidPages(t *testing.T) {
+	// With a 1-byte cache every dirty table writes through, so sealed
+	// index-zone blocks fill with superseded pages. Collecting one must
+	// not pay a flash read per stale page just to look at its spare.
+	d := openSmall(t, func(c *Config) { c.CacheBudget = 1 })
+	const keys, stores = 1500, 2000
+	for i := 0; i < stores; i++ {
+		mustStore(t, d, key(i%keys), val(i, 16))
+	}
+	geo := d.flash.Config()
+	sealedStale, sealedLive := 0, 0
+	for b := nand.BlockID(0); int(b) < geo.TotalBlocks(); b++ {
+		if !d.mgr.InUse(b) || d.mgr.Zone(b) != ftl.ZoneIndex || (d.idxBlockOpen && b == d.idxBlock) {
+			continue
+		}
+		valid := 0
+		for pi := 0; pi < d.flash.ProgrammedPages(b); pi++ {
+			if _, ok := d.idxPageSize[d.flash.PPAOf(b, pi)]; ok {
+				valid++
+			}
+		}
+		before := d.flash.Stats().Reads
+		if err := d.collectIndex(b); err != nil {
+			t.Fatal(err)
+		}
+		// One read for a valid page's spare, one for Relocate's page-in.
+		if got := d.flash.Stats().Reads - before; got != int64(2*valid) {
+			t.Fatalf("block %d: %d flash reads collecting %d valid of %d pages, want %d",
+				b, got, valid, d.flash.ProgrammedPages(b), 2*valid)
+		}
+		if valid == 0 {
+			sealedStale++
+		} else {
+			sealedLive++
+		}
+	}
+	if sealedStale == 0 || sealedLive == 0 {
+		t.Fatalf("churn left %d fully stale and %d partly live sealed index blocks; want both", sealedStale, sealedLive)
+	}
+	for i := stores - keys; i < stores; i += 7 {
+		if got := mustGet(t, d, key(i%keys)); !bytes.Equal(got, val(i, 16)) {
+			t.Fatalf("key %d wrong after index-zone collection", i%keys)
 		}
 	}
 }

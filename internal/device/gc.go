@@ -242,12 +242,17 @@ func (d *Device) collectKV(victim nand.BlockID) error {
 }
 
 // collectIndex relocates live index and checkpoint pages out of an
-// index-zone victim block.
+// index-zone victim block. idxPageSize holds exactly the zone's pages
+// that still count as valid, so a page missing from it is superseded
+// and is skipped without paying a flash read for its spare.
 func (d *Device) collectIndex(victim nand.BlockID) error {
 	rel, _ := d.idx.(index.Relocator)
 	pages := d.flash.ProgrammedPages(victim)
 	for pi := 0; pi < pages; pi++ {
 		ppa := d.flash.PPAOf(victim, pi)
+		if _, valid := d.idxPageSize[ppa]; !valid {
+			continue
+		}
 		_, spare, done, err := d.flash.Read(d.env.now.Load(), ppa)
 		if err != nil {
 			return err

@@ -39,7 +39,7 @@ type entry[V any] struct {
 	key   uint64
 	value V
 	size  int64
-	idx   int         // position in the clock ring
+	idx   int         // position in the clock ring, or idxUnlinked/idxPooled
 	ref   atomic.Bool // second-chance bit, set on every hit
 }
 
@@ -63,6 +63,7 @@ type Cache[V any] struct {
 	ring    []*entry[V] // clock ring; hand scans for a clear ref bit
 	hand    int
 	byKey   map[uint64]*entry[V]
+	free    []*entry[V] // unlinked nodes handed back through Recycle
 	onEvict EvictFunc[V]
 
 	// admit, when non-nil, is the TinyLFU frequency sketch consulted by
@@ -161,27 +162,69 @@ func (c *Cache[V]) TouchHit(h Handle[V]) {
 }
 
 // Put inserts or updates key with the given value and size, evicting
-// entries as needed to respect the budget. The touched entry gets its
-// reference bit set, so it survives the next clock sweep.
+// other entries as needed to respect the budget: the caller goes on to
+// use what it just cached, so the sweep never claims the touched entry
+// itself, whatever the hand and concurrent readers did to its reference
+// bit.
 func (c *Cache[V]) Put(key uint64, value V, size int64) {
 	if size < 0 {
 		size = 0
 	}
-	if e, ok := c.byKey[key]; ok {
+	e, ok := c.byKey[key]
+	if ok {
 		c.used += size - e.size
 		e.value = value
 		e.size = size
 		e.ref.Store(true)
 	} else {
-		e := &entry[V]{key: key, value: value, size: size, idx: len(c.ring)}
+		e = c.newEntry()
+		e.key, e.value, e.size, e.idx = key, value, size, len(c.ring)
 		e.ref.Store(true)
 		c.ring = append(c.ring, e)
 		c.byKey[key] = e
 		c.used += size
 		c.inserts.Add(1)
 	}
-	c.evictToBudget()
+	c.evictToBudget(e)
 }
+
+func (c *Cache[V]) newEntry() *entry[V] {
+	if n := len(c.free); n > 0 {
+		e := c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+		return e
+	}
+	return new(entry[V])
+}
+
+// Recycle hands the node behind h back for a later Put to reuse, so a
+// cache that evicts on every miss stops allocating one node per miss.
+// The entry must already be evicted or removed, and the caller must
+// know that no reader can still redeem h through TouchHit: the node's
+// key and reference bit are about to describe some other entry. The
+// zero Handle and handles of still-cached entries are ignored; a handle
+// from another Cache[V] is fine, since a node belongs to no cache once
+// unlinked. Writer-side only.
+func (c *Cache[V]) Recycle(h Handle[V]) {
+	if h.e == nil || h.e.idx != idxUnlinked || len(c.free) >= maxFreeEntries {
+		return
+	}
+	var zero V
+	h.e.value = zero
+	h.e.idx = idxPooled
+	c.free = append(c.free, h.e)
+}
+
+// An entry's idx is its ring position while cached, then one of these.
+const (
+	idxUnlinked = -1 // evicted or removed; Handles may still be redeemed
+	idxPooled   = -2 // handed back through Recycle
+)
+
+// maxFreeEntries bounds the recycled-node list; owners that evict one
+// entry per insert never hold more than a few.
+const maxFreeEntries = 64
 
 // SetAdmission attaches (or, with nil, detaches) a TinyLFU frequency
 // sketch. With a sketch attached, Get and TouchHit record every access
@@ -238,23 +281,25 @@ func (c *Cache[V]) peekVictim() *entry[V] {
 }
 
 // evictToBudget removes entries until the budget holds, always keeping at
-// least one entry so an over-budget singleton still functions.
-func (c *Cache[V]) evictToBudget() {
+// least one entry so an over-budget singleton still functions, and never
+// removing keep (nil: no entry is exempt).
+func (c *Cache[V]) evictToBudget(keep *entry[V]) {
 	for c.used > c.budget && len(c.ring) > 1 {
-		c.evictOne()
+		c.evictOne(keep)
 	}
 }
 
-// evictOne advances the clock hand to the first entry whose reference bit
-// is clear, granting each referenced entry a second chance along the way,
-// and evicts it. Terminates within two sweeps: the first pass clears bits.
-func (c *Cache[V]) evictOne() {
+// evictOne advances the clock hand to the first entry other than keep
+// whose reference bit is clear, granting each referenced entry a second
+// chance along the way, and evicts it. The ring holds at least two
+// entries, so it terminates within two sweeps: the first pass clears bits.
+func (c *Cache[V]) evictOne(keep *entry[V]) {
 	for {
 		if c.hand >= len(c.ring) {
 			c.hand = 0
 		}
 		e := c.ring[c.hand]
-		if e.ref.Swap(false) {
+		if e.ref.Swap(false) || e == keep {
 			c.hand++
 			continue
 		}
@@ -281,6 +326,7 @@ func (c *Cache[V]) unlink(e *entry[V]) {
 	}
 	delete(c.byKey, e.key)
 	c.used -= e.size
+	e.idx = idxUnlinked
 }
 
 // Remove drops key from the cache without invoking the eviction callback
@@ -330,7 +376,7 @@ func (c *Cache[V]) Resize(budget int64) {
 		budget = 0
 	}
 	c.budget = budget
-	c.evictToBudget()
+	c.evictToBudget(nil)
 }
 
 // Len reports the number of cached entries.

@@ -346,3 +346,75 @@ func TestFlushResetsClockHand(t *testing.T) {
 		}
 	}
 }
+
+// TestPutNeverEvictsItsOwnEntry: the caller of Put goes on to use the
+// value it just cached, so the sweep that makes room must claim someone
+// else even when it reaches the new entry first with its bit cleared —
+// which it does when the hand was left one past the ring's end, or when
+// lock-free readers re-set every other entry's bit behind the hand.
+func TestPutNeverEvictsItsOwnEntry(t *testing.T) {
+	var evicted []uint64
+	c := New[int](20, func(key uint64, _ int, _ int64) { evicted = append(evicted, key) })
+	c.Put(1, 0, 10)
+	c.Put(2, 0, 10)
+	c.Put(3, 0, 10) // sweep clears every bit, evicts 1; ring [3 2], hand 0
+	c.Get(3)
+	c.Resize(10) // second chance for 3, evicts 2 from the last slot: hand == len(ring)
+	c.Get(3)
+	c.Put(4, 0, 10) // the hand starts on 4, finds 3 referenced, comes back to 4
+	if want := []uint64{1, 2, 3}; len(evicted) != 3 || evicted[2] != 3 {
+		t.Fatalf("evicted %v, want %v", evicted, want)
+	}
+	if !c.Contains(4) || c.Len() != 1 || c.Used() != 10 {
+		t.Fatalf("entry 4 not resident after its own Put: len %d used %d", c.Len(), c.Used())
+	}
+}
+
+func TestRecycleReusesEvictedNodes(t *testing.T) {
+	// A 2-entry cache fed a new key per Put evicts once per Put; with the
+	// owner handing each evicted node back, steady state allocates none.
+	handles := map[uint64]Handle[int]{}
+	var c *Cache[int]
+	c = New[int](20, func(key uint64, _ int, _ int64) {
+		c.Recycle(handles[key])
+		delete(handles, key)
+	})
+	key := uint64(0)
+	put := func() {
+		key++
+		c.Put(key, int(key), 10)
+		handles[key], _ = c.Handle(key)
+	}
+	for i := 0; i < 8; i++ {
+		put()
+	}
+	if allocs := testing.AllocsPerRun(100, put); allocs != 0 {
+		t.Fatalf("Put over a recycling cache allocates %.0f times, want 0", allocs)
+	}
+	if v, ok := c.Get(key); !ok || v != int(key) {
+		t.Fatalf("Get(%d) = (%d,%v) after node reuse", key, v, ok)
+	}
+	if c.Len() != 2 || c.Used() != 20 {
+		t.Fatalf("Len=%d Used=%d, want 2 entries of 10", c.Len(), c.Used())
+	}
+
+	// Misuse is ignored, not obeyed: a still-cached entry's node and an
+	// already recycled one must not enter the free list.
+	live := handles[key]
+	c.Recycle(live)
+	c.Recycle(Handle[int]{})
+	gone, _ := c.Remove(key - 1)
+	old := handles[key-1]
+	c.Recycle(old)
+	c.Recycle(old)
+	c.Put(100, 100, 1)
+	c.Put(101, 101, 1)
+	if v, ok := c.Get(key); !ok || v != int(key) {
+		t.Fatalf("recycling a cached entry's handle corrupted it: (%d,%v)", v, ok)
+	}
+	for _, k := range []uint64{100, 101} {
+		if v, ok := c.Get(k); !ok || v != int(k) {
+			t.Fatalf("Get(%d) = (%d,%v): a node was handed out twice (removed value %d)", k, v, ok, gone)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package hopscotch
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/hash"
@@ -12,7 +13,11 @@ import (
 // signatures sharing one home bucket (adversarial collisions that force
 // hopscotch displacement chains), plus a spread of ordinary signatures.
 // After the op stream the table is serialized and decoded into a fresh
-// table, which must reproduce the model exactly.
+// table, which must reproduce the model exactly and re-encode to the
+// same page image; a buffer one byte short must be refused. Last, the
+// input bytes themselves are decoded as a page image: every column is
+// stored verbatim, so any image must survive decode → encode unchanged
+// whatever the capacity leaves for the loops' tails.
 func FuzzHopscotchTable(f *testing.F) {
 	f.Add([]byte{8, 2, 0, 1, 0, 2, 0, 3, 1, 1, 2, 1})       // puts then gets/deletes
 	f.Add([]byte{3, 1, 0, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5}) // overfill a tiny table
@@ -24,7 +29,8 @@ func FuzzHopscotchTable(f *testing.F) {
 		}
 		capacity := 1 + int(data[0])%61
 		hopRange := 1 + int(data[1])%MaxHopRange
-		tb := New(capacity, hopRange)
+		wide := data[1]&0x80 != 0
+		tb := newTable(capacity, hopRange, wide)
 		model := map[uint64]uint64{}
 
 		// Key pool: half adversarial (same home bucket), half spread.
@@ -78,7 +84,10 @@ func FuzzHopscotchTable(f *testing.F) {
 		// Serialize → decode → everything must survive byte-exactly.
 		buf := make([]byte, tb.EncodedBytes())
 		tb.EncodeTo(buf)
-		fresh := New(capacity, hopRange)
+		fresh := newTable(capacity, hopRange, wide)
+		if err := fresh.DecodeFrom(buf[:len(buf)-1]); err == nil {
+			t.Fatal("decode accepted a truncated buffer")
+		}
 		if err := fresh.DecodeFrom(buf); err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -89,6 +98,33 @@ func FuzzHopscotchTable(f *testing.F) {
 			if got, ok := fresh.Get(sig); !ok || got != want {
 				t.Fatalf("decoded Get(%#x) = (%d,%v), want %d", sig, got, ok, want)
 			}
+		}
+		again := make([]byte, len(buf))
+		fresh.EncodeTo(again)
+		if !bytes.Equal(again, buf) {
+			t.Fatal("re-encoding the decoded table changed the page image")
+		}
+
+		// The input as a raw page image.
+		empty := 0
+		for i := range buf {
+			buf[i] = data[i%len(data)]
+		}
+		ppas := buf[capacity*(sigBytes+hopBytes):][:capacity*ppaBytes]
+		for i := 0; i < capacity; i++ {
+			if uint40(ppas[i*ppaBytes:]) == emptyPPA {
+				empty++
+			}
+		}
+		if err := fresh.DecodeFrom(buf); err != nil {
+			t.Fatalf("decode raw image: %v", err)
+		}
+		if fresh.Len() != capacity-empty {
+			t.Fatalf("raw image Len=%d, want %d", fresh.Len(), capacity-empty)
+		}
+		fresh.EncodeTo(again)
+		if !bytes.Equal(again, buf) {
+			t.Fatal("raw page image changed across decode → encode")
 		}
 	})
 }

@@ -9,7 +9,6 @@
 package hopscotch
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -32,14 +31,19 @@ const SlotSizeWide = 16 + 5 + 4
 // bits, one per slot in the neighborhood.
 const MaxHopRange = 32
 
-// emptyPPA marks an unoccupied slot on flash. Physical page addresses are
-// 40-bit and the emulated devices stay far below 2^40-1 pages.
+// emptyPPA marks an unoccupied slot, in memory and on flash. Physical
+// page addresses are 40-bit and the emulated devices stay far below
+// 2^40-1 pages.
 const emptyPPA = 1<<40 - 1
 
 // ErrNoSlot is returned by Put when hopscotch displacement cannot free a
 // slot within the hop range of the key's home bucket. The caller (RHIK)
 // surfaces this as an index collision abort.
 var ErrNoSlot = errors.New("hopscotch: no free slot within hop range")
+
+// ErrBadPPA is returned by Put for an address the 40-bit record field
+// cannot hold: anything wider, and 2^40-1 itself, which marks a free slot.
+var ErrBadPPA = errors.New("hopscotch: address does not fit the 40-bit record field")
 
 // Table is a fixed-capacity hopscotch hash table mapping 64-bit key
 // signatures to physical page addresses. Mutations are not safe for
@@ -52,13 +56,22 @@ var ErrNoSlot = errors.New("hopscotch: no free slot within hop range")
 // the next even value when it completes; Invalidate parks it odd
 // permanently when the table leaves reader reachability (eviction,
 // migration, pool recycling), so stale probes can never validate.
+//
+// Two kinds of mutation exist. Put and Delete run on tables optimistic
+// readers can reach, so every slot store they make is atomic. Reset and
+// DecodeFrom rewrite the whole table with plain bulk stores and may run
+// ONLY while no reader can reach it: on a table fresh from New, or one
+// that was unpublished, Invalidated and then held back until every
+// reader that could still alias it has finished (core's retireEntry →
+// epoch.Domain). The table becomes reachable again only through an
+// atomic pointer store made after the bracket closes, which orders the
+// bulk stores before any reader's loads.
 type Table struct {
 	seq  atomic.Uint64
 	sigs []uint64
 	his  []uint64 // upper signature halves; nil in 64-bit mode
-	ppas []uint64
+	ppas []uint64 // emptyPPA marks a free slot, in memory as on flash
 	hops []uint32
-	used []bool
 	n    int
 	hop  int
 }
@@ -127,13 +140,19 @@ func newTable(capacity, hopRange int, wide bool) *Table {
 		sigs: make([]uint64, capacity),
 		ppas: make([]uint64, capacity),
 		hops: make([]uint32, capacity),
-		used: make([]bool, capacity),
 		hop:  hopRange,
 	}
 	if wide {
 		t.his = make([]uint64, capacity)
 	}
+	fillEmpty(t.ppas)
 	return t
+}
+
+func fillEmpty(ppas []uint64) {
+	for i := range ppas {
+		ppas[i] = emptyPPA
+	}
 }
 
 // Wide reports whether the table stores 128-bit signatures.
@@ -181,9 +200,24 @@ func (t *Table) hiOf(slot int) uint64 {
 	return t.his[slot]
 }
 
+func (t *Table) used(slot int) bool { return t.ppas[slot] != emptyPPA }
+
 func (t *Table) match(slot int, lo, hi uint64) bool {
-	return t.used[slot] && t.sigs[slot] == lo && t.hiOf(slot) == hi
+	return t.used(slot) && t.sigs[slot] == lo && t.hiOf(slot) == hi
 }
+
+// setSlot and clearSlot are the writer's slot stores on a reachable
+// table; an empty slot is always {0, 0, emptyPPA}, so the page image is
+// a function of the table's records and their positions alone.
+func (t *Table) setSlot(slot int, lo, hi, ppa uint64) {
+	atomic.StoreUint64(&t.sigs[slot], lo)
+	if t.his != nil {
+		atomic.StoreUint64(&t.his[slot], hi)
+	}
+	atomic.StoreUint64(&t.ppas[slot], ppa)
+}
+
+func (t *Table) clearSlot(slot int) { t.setSlot(slot, 0, 0, emptyPPA) }
 
 // Get returns the physical page address stored for sig.
 func (t *Table) Get(sig uint64) (ppa uint64, ok bool) { return t.GetWide(sig, 0) }
@@ -204,9 +238,9 @@ func (t *Table) GetWide(lo, hi uint64) (ppa uint64, ok bool) {
 
 // GetOptimistic is GetWide for seqlock readers racing a mutator: every
 // slot-array access is an atomic load, and it never touches the
-// plain-written used[]/n fields (a set hop bit implies the slot was
-// occupied at some even sequence; torn states are rejected by the
-// caller's SeqValidate). The returned value is only meaningful if the
+// plain-written n field (a set hop bit implies the slot was occupied at
+// some even sequence; torn states are rejected by the caller's
+// SeqValidate). The returned value is only meaningful if the
 // surrounding SeqSnapshot/SeqValidate pair passes.
 func (t *Table) GetOptimistic(lo, hi uint64) (ppa uint64, ok bool) {
 	home := t.home(lo)
@@ -237,6 +271,9 @@ func (t *Table) Put(sig, ppa uint64) (replaced bool, err error) {
 // PutWide inserts or updates a record keyed by its full (lo, hi)
 // signature.
 func (t *Table) PutWide(lo, hi, ppa uint64) (replaced bool, err error) {
+	if ppa >= emptyPPA {
+		return false, ErrBadPPA
+	}
 	home := t.home(lo)
 	for hop := t.hops[home]; hop != 0; hop &= hop - 1 {
 		i := bits.TrailingZeros32(hop)
@@ -256,7 +293,7 @@ func (t *Table) PutWide(lo, hi, ppa uint64) (replaced bool, err error) {
 	free := -1
 	for d := 0; d < len(t.sigs); d++ {
 		slot := (home + d) % len(t.sigs)
-		if !t.used[slot] {
+		if !t.used(slot) {
 			free = slot
 			break
 		}
@@ -271,7 +308,7 @@ func (t *Table) PutWide(lo, hi, ppa uint64) (replaced bool, err error) {
 		moved := false
 		for j := t.hop - 1; j >= 1; j-- {
 			cand := (free - j + len(t.sigs)) % len(t.sigs)
-			if !t.used[cand] {
+			if !t.used(cand) {
 				continue
 			}
 			candHome := t.home(t.sigs[cand])
@@ -279,13 +316,8 @@ func (t *Table) PutWide(lo, hi, ppa uint64) (replaced bool, err error) {
 				continue
 			}
 			// Move the candidate record into the free slot.
-			atomic.StoreUint64(&t.sigs[free], t.sigs[cand])
-			if t.his != nil {
-				atomic.StoreUint64(&t.his[free], t.his[cand])
-			}
-			atomic.StoreUint64(&t.ppas[free], t.ppas[cand])
-			t.used[free] = true
-			t.used[cand] = false
+			t.setSlot(free, t.sigs[cand], t.hiOf(cand), t.ppas[cand])
+			t.clearSlot(cand)
 			atomic.StoreUint32(&t.hops[candHome],
 				t.hops[candHome]&^(1<<uint(t.dist(candHome, cand)))|1<<uint(t.dist(candHome, free)))
 			free = cand
@@ -298,12 +330,7 @@ func (t *Table) PutWide(lo, hi, ppa uint64) (replaced bool, err error) {
 		}
 	}
 
-	atomic.StoreUint64(&t.sigs[free], lo)
-	if t.his != nil {
-		atomic.StoreUint64(&t.his[free], hi)
-	}
-	atomic.StoreUint64(&t.ppas[free], ppa)
-	t.used[free] = true
+	t.setSlot(free, lo, hi, ppa)
 	atomic.StoreUint32(&t.hops[home], t.hops[home]|1<<uint(t.dist(home, free)))
 	t.n++
 	t.endWrite()
@@ -322,12 +349,7 @@ func (t *Table) DeleteWide(lo, hi uint64) (ppa uint64, ok bool) {
 		if t.match(slot, lo, hi) {
 			ppa = t.ppas[slot]
 			t.beginWrite()
-			t.used[slot] = false
-			atomic.StoreUint64(&t.sigs[slot], 0)
-			if t.his != nil {
-				atomic.StoreUint64(&t.his[slot], 0)
-			}
-			atomic.StoreUint64(&t.ppas[slot], 0)
+			t.clearSlot(slot)
 			atomic.StoreUint32(&t.hops[home], t.hops[home]&^(1<<uint(i)))
 			t.n--
 			t.endWrite()
@@ -340,8 +362,8 @@ func (t *Table) DeleteWide(lo, hi uint64) (ppa uint64, ok bool) {
 // Range calls f for every stored record until f returns false. Iteration
 // order is slot order, not insertion order.
 func (t *Table) Range(f func(sig, ppa uint64) bool) {
-	for i, u := range t.used {
-		if u && !f(t.sigs[i], t.ppas[i]) {
+	for i, ppa := range t.ppas {
+		if ppa != emptyPPA && !f(t.sigs[i], ppa) {
 			return
 		}
 	}
@@ -349,121 +371,23 @@ func (t *Table) Range(f func(sig, ppa uint64) bool) {
 
 // RangeWide is Range with the full (lo, hi) signature exposed.
 func (t *Table) RangeWide(f func(lo, hi, ppa uint64) bool) {
-	for i, u := range t.used {
-		if u && !f(t.sigs[i], t.hiOf(i), t.ppas[i]) {
+	for i, ppa := range t.ppas {
+		if ppa != emptyPPA && !f(t.sigs[i], t.hiOf(i), ppa) {
 			return
 		}
 	}
 }
 
-// Reset empties the table in place. It runs a full write bracket, so it
-// also revives an Invalidate-poisoned counter on pool reuse.
+// Reset empties the table in place with plain bulk stores, so it may run
+// only while no optimistic reader can reach the table (see Table). It
+// runs a full write bracket, so it also revives an Invalidate-poisoned
+// counter on pool reuse.
 func (t *Table) Reset() {
 	t.beginWrite()
-	for i := range t.used {
-		t.used[i] = false
-		atomic.StoreUint64(&t.sigs[i], 0)
-		if t.his != nil {
-			atomic.StoreUint64(&t.his[i], 0)
-		}
-		atomic.StoreUint64(&t.ppas[i], 0)
-		atomic.StoreUint32(&t.hops[i], 0)
-	}
+	clear(t.sigs)
+	clear(t.his)
+	clear(t.hops)
+	fillEmpty(t.ppas)
 	t.n = 0
 	t.endWrite()
-}
-
-// EncodedSize reports the number of bytes a 64-bit-signature table with
-// the given capacity occupies on flash.
-func EncodedSize(capacity int) int { return capacity * SlotSize }
-
-// EncodedSizeWide is EncodedSize for 128-bit-signature tables.
-func EncodedSizeWide(capacity int) int { return capacity * SlotSizeWide }
-
-// EncodedBytes reports the flash footprint of this table.
-func (t *Table) EncodedBytes() int { return len(t.sigs) * t.SlotSizeOf() }
-
-// EncodeTo serializes the table into buf, which must hold at least
-// t.EncodedBytes() bytes. The layout per slot is little-endian
-// {sig:8[+hi:8], ppa:5, hopinfo:4}; unoccupied slots carry the all-ones
-// PPA.
-func (t *Table) EncodeTo(buf []byte) {
-	need := t.EncodedBytes()
-	if len(buf) < need {
-		panic(fmt.Sprintf("hopscotch: encode buffer %d < %d", len(buf), need))
-	}
-	ss := t.SlotSizeOf()
-	for i := range t.sigs {
-		off := i * ss
-		ppa := uint64(emptyPPA)
-		var lo, hi uint64
-		if t.used[i] {
-			ppa = t.ppas[i]
-			lo = t.sigs[i]
-			hi = t.hiOf(i)
-		}
-		binary.LittleEndian.PutUint64(buf[off:], lo)
-		off += 8
-		if t.his != nil {
-			binary.LittleEndian.PutUint64(buf[off:], hi)
-			off += 8
-		}
-		putUint40(buf[off:], ppa)
-		binary.LittleEndian.PutUint32(buf[off+5:], t.hops[i])
-	}
-}
-
-// DecodeFrom rebuilds the table state from a buffer produced by EncodeTo.
-// The buffer's capacity and signature width must match the table's.
-func (t *Table) DecodeFrom(buf []byte) error {
-	need := t.EncodedBytes()
-	if len(buf) < need {
-		return fmt.Errorf("hopscotch: decode buffer %d < %d", len(buf), need)
-	}
-	ss := t.SlotSizeOf()
-	t.beginWrite()
-	t.n = 0
-	for i := range t.sigs {
-		off := i * ss
-		lo := binary.LittleEndian.Uint64(buf[off:])
-		off += 8
-		var hi uint64
-		if t.his != nil {
-			hi = binary.LittleEndian.Uint64(buf[off:])
-			off += 8
-		}
-		ppa := uint40(buf[off:])
-		atomic.StoreUint32(&t.hops[i], binary.LittleEndian.Uint32(buf[off+5:]))
-		if ppa == emptyPPA {
-			t.used[i] = false
-			atomic.StoreUint64(&t.sigs[i], 0)
-			if t.his != nil {
-				atomic.StoreUint64(&t.his[i], 0)
-			}
-			atomic.StoreUint64(&t.ppas[i], 0)
-			continue
-		}
-		t.used[i] = true
-		atomic.StoreUint64(&t.sigs[i], lo)
-		if t.his != nil {
-			atomic.StoreUint64(&t.his[i], hi)
-		}
-		atomic.StoreUint64(&t.ppas[i], ppa)
-		t.n++
-	}
-	t.endWrite()
-	return nil
-}
-
-func putUint40(b []byte, v uint64) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-}
-
-func uint40(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 |
-		uint64(b[3])<<24 | uint64(b[4])<<32
 }

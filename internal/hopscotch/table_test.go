@@ -1,7 +1,10 @@
 package hopscotch
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -45,6 +48,31 @@ func TestPutUpdatesInPlace(t *testing.T) {
 	}
 	if ppa, _ := tb.Get(7); ppa != 200 {
 		t.Fatalf("Get after update = %d", ppa)
+	}
+}
+
+func TestPutRejectsUnstorableAddress(t *testing.T) {
+	// 2^40-1 is the free-slot marker and anything wider is truncated by
+	// the 5-byte column: storing either would leave a hop bit and a count
+	// for a slot that still reads as free.
+	tb := New(16, 8)
+	tb.Put(7, 100)
+	for _, ppa := range []uint64{emptyPPA, 1 << 40, ^uint64(0)} {
+		if _, err := tb.Put(9, ppa); !errors.Is(err, ErrBadPPA) {
+			t.Fatalf("insert of %#x = %v, want ErrBadPPA", ppa, err)
+		}
+		if _, err := tb.Put(7, ppa); !errors.Is(err, ErrBadPPA) {
+			t.Fatalf("update to %#x = %v, want ErrBadPPA", ppa, err)
+		}
+	}
+	if _, ok := tb.Get(9); ok || tb.Len() != 1 {
+		t.Fatalf("rejected Put left a record: Len = %d", tb.Len())
+	}
+	if ppa, ok := tb.Get(7); !ok || ppa != 100 {
+		t.Fatalf("rejected update changed the record: (%d, %v)", ppa, ok)
+	}
+	if _, err := tb.Put(9, emptyPPA-1); err != nil {
+		t.Fatalf("largest storable address: %v", err)
 	}
 }
 
@@ -113,7 +141,7 @@ func TestOracleProperty(t *testing.T) {
 			sig := uint64(o.Sig)
 			switch o.Kind % 3 {
 			case 0:
-				ppa := uint64(o.PPA) % (1 << 40)
+				ppa := uint64(o.PPA) % emptyPPA
 				if _, err := tb.Put(sig, ppa); err == nil {
 					oracle[sig] = ppa
 				} else if _, exists := oracle[sig]; exists {
@@ -184,33 +212,135 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeDecodePropertyRoundTrip checks the page image over both
+// signature widths, hop ranges 1/8/32 and empty, 80 % and as-full-as-
+// Put-allows tables, at capacities that leave every possible tail for
+// the four-at-a-time column loops: the decoded table holds exactly the
+// source's records (through the locked and the optimistic probe), still
+// mutates correctly, and re-encodes to the same bytes.
 func TestEncodeDecodePropertyRoundTrip(t *testing.T) {
-	f := func(sigs []uint64) bool {
-		tb := New(61, 16)
-		oracle := make(map[uint64]uint64)
-		for i, s := range sigs {
-			if _, err := tb.Put(s, uint64(i)); err == nil {
-				oracle[s] = uint64(i)
+	type rec struct{ lo, hi, ppa uint64 }
+	for _, wide := range []bool{false, true} {
+		for _, hop := range []int{1, 8, 32} {
+			for _, fill := range []int{0, 80, 100} {
+				wide, hop, fill := wide, hop, fill
+				t.Run(fmt.Sprintf("wide=%v/hop=%d/fill=%d", wide, hop, fill), func(t *testing.T) {
+					f := func(seed int64, capSel uint8) bool {
+						capacity := 1 + int(capSel)%67
+						rng := rand.New(rand.NewSource(seed))
+						tb := newTable(capacity, hop, wide)
+						var recs []rec
+						for tries := 0; tb.Len() < capacity*fill/100 && tries < 64*capacity; tries++ {
+							r := rec{lo: rng.Uint64(), ppa: uint64(rng.Int63n(emptyPPA))}
+							if wide {
+								r.hi = rng.Uint64()
+							}
+							if _, err := tb.PutWide(r.lo, r.hi, r.ppa); err == nil {
+								recs = append(recs, r)
+							}
+						}
+						buf := make([]byte, tb.EncodedBytes())
+						tb.EncodeTo(buf)
+						tb2 := newTable(capacity, hop, wide)
+						tb2.PutWide(1, 0, 1) // decode must overwrite, not merge
+						if err := tb2.DecodeFrom(buf); err != nil || tb2.Len() != len(recs) {
+							return false
+						}
+						for _, r := range recs {
+							if got, ok := tb2.GetWide(r.lo, r.hi); !ok || got != r.ppa {
+								return false
+							}
+							if got, ok := tb2.GetOptimistic(r.lo, r.hi); !ok || got != r.ppa {
+								return false
+							}
+						}
+						again := make([]byte, len(buf))
+						tb2.EncodeTo(again)
+						if !bytes.Equal(again, buf) {
+							return false
+						}
+						for _, r := range recs {
+							if got, ok := tb2.DeleteWide(r.lo, r.hi); !ok || got != r.ppa {
+								return false
+							}
+						}
+						if tb2.Len() != 0 {
+							return false
+						}
+						tb2.EncodeTo(again)
+						tb.Reset()
+						tb.EncodeTo(buf)
+						return bytes.Equal(again, buf) // emptied by Delete == emptied by Reset
+					}
+					if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+						t.Fatal(err)
+					}
+				})
 			}
 		}
-		buf := make([]byte, EncodedSize(61))
-		tb.EncodeTo(buf)
-		tb2 := New(61, 16)
-		if err := tb2.DecodeFrom(buf); err != nil {
-			return false
-		}
-		if tb2.Len() != len(oracle) {
-			return false
-		}
-		for s, want := range oracle {
-			if got, ok := tb2.Get(s); !ok || got != want {
-				return false
-			}
-		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+}
+
+// TestFullTableRoundTrip: with the hop range clamped to the capacity any
+// free slot is reachable, so a table can be filled to its last slot; no
+// slot of its image may read as empty.
+func TestFullTableRoundTrip(t *testing.T) {
+	tb := New(32, 32)
+	rng := rand.New(rand.NewSource(5))
+	for tb.Len() < tb.Cap() {
+		if _, err := tb.Put(rng.Uint64(), uint64(tb.Len())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := make([]byte, tb.EncodedBytes())
+	tb.EncodeTo(buf)
+	tb2 := New(32, 32)
+	if err := tb2.DecodeFrom(buf); err != nil {
 		t.Fatal(err)
+	}
+	if tb2.Len() != 32 {
+		t.Fatalf("decoded Len = %d, want 32", tb2.Len())
+	}
+	if _, err := tb2.Put(rng.Uint64(), 1); !errors.Is(err, ErrNoSlot) {
+		t.Fatalf("Put into a decoded full table: %v, want ErrNoSlot", err)
+	}
+}
+
+// TestPageImageLayout pins the on-flash format byte for byte on a table
+// small enough to write out: R signatures, R hopinfos, R 40-bit PPAs,
+// then (wide) R upper signature halves, all little-endian, free slots
+// zero with an all-ones PPA.
+func TestPageImageLayout(t *testing.T) {
+	tb := NewWide(3, 2)
+	const lo, hi, ppa = 0x1122334455667788, 0x99aabbccddeeff00, 0xa1b2c3d4e5
+	if _, err := tb.PutWide(lo, hi, ppa); err != nil {
+		t.Fatal(err)
+	}
+	slot := tb.home(lo)
+	want := make([]byte, 3*SlotSizeWide)
+	binary.LittleEndian.PutUint64(want[8*slot:], lo)
+	binary.LittleEndian.PutUint32(want[24+4*slot:], 1) // hop bit 0: the record sits in its home slot
+	for i := 36; i < 51; i++ {
+		want[i] = 0xff
+	}
+	copy(want[36+5*slot:], []byte{0xe5, 0xd4, 0xc3, 0xb2, 0xa1})
+	binary.LittleEndian.PutUint64(want[51+8*slot:], hi)
+	got := make([]byte, tb.EncodedBytes())
+	tb.EncodeTo(got)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("page image\n got %x\nwant %x", got, want)
+	}
+}
+
+// TestEncodedBytesPinned pins the flash footprint at the paper's 32 KiB
+// page: Eq. 1 gives 1 927 records of 17 bytes, or 1 310 of 25 with
+// 128-bit signatures, and the columnar image spends exactly that.
+func TestEncodedBytesPinned(t *testing.T) {
+	if got := New(1927, 32).EncodedBytes(); got != 32759 || got != EncodedSize(1927) {
+		t.Fatalf("EncodedBytes = %d, want 32759", got)
+	}
+	if got := NewWide(1310, 32).EncodedBytes(); got != 32750 || got != EncodedSizeWide(1310) {
+		t.Fatalf("wide EncodedBytes = %d, want 32750", got)
 	}
 }
 
@@ -336,16 +466,63 @@ func BenchmarkGet(b *testing.B) {
 	}
 }
 
-func BenchmarkEncode(b *testing.B) {
+// pageTable is a record table of the default 32 KiB page geometry at
+// the 80 % occupancy RHIK re-configures at.
+func pageTable() *Table {
 	tb := New(1927, 32)
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 1500; i++ {
-		tb.Put(rng.Uint64(), uint64(i))
+	for tb.Len() < 1927*80/100 {
+		tb.Put(rng.Uint64(), uint64(rng.Int63n(1<<39)))
 	}
-	buf := make([]byte, EncodedSize(1927))
+	return tb
+}
+
+func BenchmarkTableEncode(b *testing.B) {
+	tb := pageTable()
+	buf := make([]byte, tb.EncodedBytes())
 	b.SetBytes(int64(len(buf)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tb.EncodeTo(buf)
+	}
+}
+
+// BenchmarkTableDecode times a page-in's CPU work. "hot" decodes one
+// cache-resident image over and over; "cold" rotates through 64 MiB of
+// images, more than any cache level holds, which is what a page-in of a
+// flash page not touched since it was programmed sees.
+func BenchmarkTableDecode(b *testing.B) {
+	tb := pageTable()
+	size := tb.EncodedBytes()
+	for _, c := range []struct {
+		name  string
+		pages int
+	}{{"hot", 1}, {"cold", 64<<20/size + 1}} {
+		b.Run(c.name, func(b *testing.B) {
+			images := make([]byte, c.pages*size)
+			for p := 0; p < c.pages; p++ {
+				tb.EncodeTo(images[p*size:])
+			}
+			dst := New(tb.Cap(), tb.HopRange())
+			b.SetBytes(int64(size))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := i % c.pages
+				if err := dst.DecodeFrom(images[p*size : (p+1)*size]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if dst.Len() != tb.Len() {
+				b.Fatalf("decoded Len = %d, want %d", dst.Len(), tb.Len())
+			}
+		})
+	}
+}
+
+func BenchmarkTableReset(b *testing.B) {
+	tb := pageTable()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tb.Reset()
 	}
 }

@@ -1,9 +1,6 @@
 package hopscotch
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 func TestWideDistinguishesHiHalves(t *testing.T) {
 	tb := NewWide(64, 32)
@@ -37,37 +34,6 @@ func TestWideDistinguishesHiHalves(t *testing.T) {
 	}
 	if ppa, ok := tb.GetWide(42, 2); !ok || ppa != 200 {
 		t.Fatalf("sibling record lost: (%d,%v)", ppa, ok)
-	}
-}
-
-func TestWideEncodeDecodeRoundTrip(t *testing.T) {
-	tb := NewWide(97, 16)
-	rng := rand.New(rand.NewSource(9))
-	type rec struct{ lo, hi, ppa uint64 }
-	var recs []rec
-	for i := 0; i < 70; i++ {
-		r := rec{rng.Uint64(), rng.Uint64(), uint64(rng.Int63n(1 << 39))}
-		if _, err := tb.PutWide(r.lo, r.hi, r.ppa); err == nil {
-			recs = append(recs, r)
-		}
-	}
-	if tb.EncodedBytes() != EncodedSizeWide(97) {
-		t.Fatalf("EncodedBytes = %d, want %d", tb.EncodedBytes(), EncodedSizeWide(97))
-	}
-	buf := make([]byte, tb.EncodedBytes())
-	tb.EncodeTo(buf)
-
-	tb2 := NewWide(97, 16)
-	if err := tb2.DecodeFrom(buf); err != nil {
-		t.Fatal(err)
-	}
-	if tb2.Len() != len(recs) {
-		t.Fatalf("decoded Len = %d, want %d", tb2.Len(), len(recs))
-	}
-	for _, r := range recs {
-		if ppa, ok := tb2.GetWide(r.lo, r.hi); !ok || ppa != r.ppa {
-			t.Fatalf("decoded GetWide(%#x,%#x) = (%d,%v), want %d", r.lo, r.hi, ppa, ok, r.ppa)
-		}
 	}
 }
 

@@ -64,7 +64,8 @@ type Env interface {
 	// and counting one metadata flash read.
 	ReadPage(p nand.PPA) ([]byte, error)
 	// AppendPage programs an index page into the index zone log and
-	// returns its address.
+	// returns its address. It must not retain data: callers reuse the
+	// buffer for the next page.
 	AppendPage(data []byte) (nand.PPA, error)
 	// Invalidate marks a superseded index page stale for GC.
 	Invalidate(p nand.PPA)
