@@ -14,8 +14,9 @@ import (
 //
 // One STATS round trip, printed as a single table covering every DRAM
 // tier in front of flash: the index-page cache (hit ratio plus TinyLFU
-// admission rejects), the hot-value cache, and scan prefetch
-// effectiveness. Ratios are since server start or the last stats reset.
+// admission rejects), the hot-value cache, and the records prefix scans
+// served from a data page they had already read. Ratios are since
+// server start or the last stats reset.
 // Against an older server the new counters decode as zero (the wire
 // STATS payload is field-count versioned), so the table just reports
 // idle tiers rather than failing.
@@ -50,7 +51,7 @@ func runCacheStats(addr string) error {
 		enabledNote(s.ValueCacheHits+s.ValueCacheMisses, "value tier off or idle"))
 	fmt.Fprintf(w, "scan prefetch\t%d\t-\t-\t%s\n",
 		s.PrefetchHits,
-		enabledNote(s.PrefetchHits, "prefetch off or no scans"))
+		enabledNote(s.PrefetchHits, "no scans"))
 	if err := w.Flush(); err != nil {
 		return err
 	}

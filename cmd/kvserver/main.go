@@ -58,7 +58,6 @@ func main() {
 		ckptEvery = flag.Duration("checkpoint", 0, "periodic checkpoint interval; advances the WAL compaction horizon (0 = only at shutdown)")
 		valCache  = flag.Int64("value-cache", 0, "hot-value DRAM cache budget in bytes; 0 disables the value tier")
 		admission = flag.Bool("cache-admission", false, "TinyLFU admission on the index-page cache")
-		prefetch  = flag.Bool("scan-prefetch", false, "stage each distinct data page once per prefix scan")
 	)
 	flag.Parse()
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
@@ -89,7 +88,6 @@ func main() {
 		IteratorPrefixLen: *prefixLen,
 		ValueCacheBudget:  *valCache,
 		CacheAdmission:    *admission,
-		ScanPrefetch:      *prefetch,
 		WAL: rhik.WALOptions{
 			Dir:         *walDir,
 			Fsync:       *walFsync,

@@ -35,7 +35,6 @@ func main() {
 		cache     = flag.Int64("cache", 0, "index DRAM budget in bytes (default 512 KiB)")
 		valCache  = flag.Int64("value-cache", 0, "hot-value DRAM budget in bytes (default 0: tier off)")
 		admission = flag.Bool("cache-admission", false, "TinyLFU admission on the index-page cache")
-		prefetch  = flag.Bool("scan-prefetch", false, "stage each distinct data page once per prefix scan")
 		quick     = flag.Bool("quick", false, "tiny smoke-test grid (2k records, 4k ops, 2 engines x 2 workloads unless overridden)")
 		out       = flag.String("o", filepath.Join("results", "SHOOTOUT.json"), "output JSON path")
 	)
@@ -52,7 +51,6 @@ func main() {
 		CacheBudget:      *cache,
 		ValueCacheBudget: *valCache,
 		CacheAdmission:   *admission,
-		ScanPrefetch:     *prefetch,
 	}
 	if *engines != "" {
 		cfg.Engines = strings.Split(*engines, ",")

@@ -102,8 +102,6 @@ type EngineConfig struct {
 	ValueCacheBudget int64
 	// CacheAdmission turns on TinyLFU admission for the index-page cache.
 	CacheAdmission bool
-	// ScanPrefetch stages each distinct data page once per prefix scan.
-	ScanPrefetch bool
 }
 
 func (c *EngineConfig) applyDefaults() {
@@ -131,7 +129,6 @@ func (c EngineConfig) options(scheme rhik.IndexScheme) rhik.Options {
 		AnticipatedKeys:   c.AnticipatedKeys,
 		ValueCacheBudget:  c.ValueCacheBudget,
 		CacheAdmission:    c.CacheAdmission,
-		ScanPrefetch:      c.ScanPrefetch,
 	}
 }
 

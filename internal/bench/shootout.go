@@ -57,8 +57,6 @@ type ShootoutConfig struct {
 	ValueCacheBudget int64 `json:"value_cache_budget,omitempty"`
 	// CacheAdmission turns on TinyLFU admission for the index-page cache.
 	CacheAdmission bool `json:"cache_admission,omitempty"`
-	// ScanPrefetch stages each distinct data page once per prefix scan.
-	ScanPrefetch bool `json:"scan_prefetch,omitempty"`
 }
 
 func (c *ShootoutConfig) applyDefaults() {
@@ -231,7 +229,6 @@ func runCell(espec EngineSpec, spec workload.YCSBSpec, cfg ShootoutConfig) (Cell
 		PrefixLen:        cfg.ScanPrefixLen,
 		ValueCacheBudget: cfg.ValueCacheBudget,
 		CacheAdmission:   cfg.CacheAdmission,
-		ScanPrefetch:     cfg.ScanPrefetch,
 	})
 	if err != nil {
 		return Cell{}, err

@@ -273,8 +273,8 @@ func (c *Client) Exist(key []byte) (bool, error) {
 
 // Scan enumerates up to limit keys sharing prefix, sorted, with their
 // values. limit 0 asks for the server maximum. The server must run
-// iterator-mode signatures (-prefixlen); otherwise the scan fails with
-// kvwire.ErrBadRequest.
+// iterator-mode signatures (-prefixlen) and prefix must be at least that
+// long; otherwise the scan fails with kvwire.ErrBadRequest.
 func (c *Client) Scan(prefix []byte, limit int) ([]kvwire.ScanEntry, error) {
 	cl, err := c.do(kvwire.OpScan, func(id uint64, b []byte) []byte {
 		return kvwire.AppendScan(b, id, prefix, uint64(limit))

@@ -210,6 +210,7 @@ type RHIK struct {
 	pool  []*hopscotch.Table         // recycled tables; avoids per-miss allocation
 	epool []*tableEntry              // recycled cache entries; keeps misses alloc-free
 	wbuf  []byte                     // spare page-image buffer, nil while checked out; see writeTable
+	scan  []uint64                   // PrefixRecords' filter scratch, so its result is one exact-size copy
 	mig   *migration                 // in-flight incremental re-configuration
 
 	// sketch is the TinyLFU admission filter shared across directory

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/nand"
 )
@@ -99,34 +100,6 @@ func (r *RHIK) Owner(p nand.PPA) (uint64, bool) {
 	return bucket, ok
 }
 
-// BucketRecords returns the record pointers stored in the given directory
-// bucket (at most one flash read). The device's prefix iterator uses it:
-// with iterator-mode signatures, every key sharing a prefix maps to one
-// bucket, so enumeration scans a single record table (§VI).
-func (r *RHIK) BucketRecords(bucket uint64) ([]uint64, error) {
-	defer r.releaseTransients()
-	if bucket >= uint64(len(r.g().dirs)) {
-		return nil, fmt.Errorf("core: bucket %d out of range", bucket)
-	}
-	if r.mig != nil {
-		if oldB := bucket & uint64(r.mig.oldD-1); !r.mig.migrated[oldB] {
-			if err := r.migrateBucket(oldB); err != nil {
-				return nil, err
-			}
-		}
-	}
-	e, err := r.loadTable(bucket)
-	if err != nil {
-		return nil, err
-	}
-	rps := make([]uint64, 0, e.table.Len())
-	e.table.Range(func(_, rp uint64) bool {
-		rps = append(rps, rp)
-		return true
-	})
-	return rps, r.checkIO()
-}
-
 // RangeRecords implements index.RecordEnumerator: every live record
 // with its full signature, bucket by bucket. Any in-flight incremental
 // re-configuration is drained first so each record appears exactly once
@@ -166,10 +139,26 @@ func (r *RHIK) RangeRecords(f func(lo, hi, rp uint64) bool) error {
 
 // PrefixRecords implements index.PrefixScanner: with iterator-mode
 // signatures every key sharing a prefix maps to directory bucket
-// (low mod D), so the scan is one bucket enumeration — at most one flash
-// read, the same guarantee as a point lookup.
+// (low mod D), so the scan touches one record table — at most one flash
+// read, the same guarantee as a point lookup — and returns only the
+// records whose stored signature carries low, not the bucket's other
+// prefix groups (§VI).
 func (r *RHIK) PrefixRecords(low uint32) ([]uint64, error) {
-	return r.BucketRecords(uint64(low) & uint64(len(r.g().dirs)-1))
+	defer r.releaseTransients()
+	bucket := uint64(low) & uint64(len(r.g().dirs)-1)
+	if r.mig != nil {
+		if oldB := bucket & uint64(r.mig.oldD-1); !r.mig.migrated[oldB] {
+			if err := r.migrateBucket(oldB); err != nil {
+				return nil, err
+			}
+		}
+	}
+	e, err := r.loadTable(bucket)
+	if err != nil {
+		return nil, err
+	}
+	r.scan = e.table.AppendLow32(r.scan[:0], low)
+	return slices.Clone(r.scan), r.checkIO()
 }
 
 // Relocate implements index.Relocator: the bucket's record table is

@@ -66,6 +66,9 @@ var (
 	ErrValueTooLarge = errors.New("device: value exceeds maximum size")
 	ErrClosed        = errors.New("device: closed")
 	ErrNoIterator    = errors.New("device: iterate requires an iterator-mode signature scheme")
+	// ErrPrefixTooShort: signatures group keys by their first PrefixLen
+	// bytes, so a shorter prefix selects no group.
+	ErrPrefixTooShort = errors.New("device: iterate prefix shorter than the signature scheme's prefix length")
 )
 
 // Config describes an emulated KVSSD.
@@ -137,9 +140,6 @@ type Config struct {
 	// CacheAdmission enables TinyLFU admission on the index-page cache
 	// (RHIK only; see core.Config.Admission).
 	CacheAdmission bool
-	// ScanPrefetch groups a prefix scan's record reads by flash page,
-	// reading each distinct data page once instead of once per record.
-	ScanPrefetch bool
 }
 
 func (c *Config) applyDefaults() {
@@ -212,8 +212,9 @@ type Stats struct {
 	CollisionAborts int64
 
 	// ValueCacheHits/Misses count hot-value tier consultations (both 0
-	// when ValueCacheBudget is 0); PrefetchHits counts record reads a
-	// prefix scan served from an already-staged page instead of flash.
+	// when ValueCacheBudget is 0); PrefetchHits counts the records every
+	// scan (Iterate, Snapshot.Scan) decoded from a data page it had
+	// already read for an earlier record, instead of reading flash again.
 	ValueCacheHits   int64
 	ValueCacheMisses int64
 	PrefetchHits     int64

@@ -2,7 +2,7 @@ package device
 
 import (
 	"bytes"
-	"sort"
+	"slices"
 
 	"repro/internal/index"
 	"repro/internal/layout"
@@ -11,6 +11,7 @@ import (
 )
 
 // IterEntry is one key (and optionally its value) produced by Iterate.
+// The entries of one result share a single backing allocation.
 type IterEntry struct {
 	Key   []byte
 	Value []byte
@@ -18,14 +19,18 @@ type IterEntry struct {
 
 // Iterate enumerates keys sharing the given prefix (§VI "Integrated
 // Iterator Support"). It requires an iterator-mode signature scheme
-// (SigScheme.PrefixLen > 0) and an index implementing
-// index.PrefixScanner. Under RHIK, prefix-sharing keys collapse into one
-// directory bucket per directory generation, so the scan touches a
-// single record table plus one pair read per candidate; other indexes
-// (LSM runs, the multi-level cascade) enumerate at their own — much
-// higher — flash cost, which is exactly the asymmetry the cross-engine
-// shootout measures. Candidates whose keys do not actually share the
-// prefix (hash collisions) are filtered by comparing the stored key.
+// (SigScheme.PrefixLen > 0), an index implementing index.PrefixScanner
+// and a prefix of at least PrefixLen bytes: a shorter one names no
+// signature group, so it is ErrPrefixTooShort rather than a partial
+// answer. The index returns the records whose signature carries the
+// prefix hash — under RHIK one record table, at most one flash read; LSM
+// runs and the multi-level cascade sweep every index page, the asymmetry
+// the cross-engine shootout measures — and sweep reads each data page
+// those records sit on once. A scan therefore costs what it returns: at
+// most one index read plus the group's distinct data pages. A longer
+// prefix selects the group by its first PrefixLen bytes; the stored-key
+// comparison narrows it, and drops keys of any other prefix whose hash
+// collides.
 func (d *Device) Iterate(submitAt sim.Time, prefix []byte, withValues bool) ([]IterEntry, sim.Time, error) {
 	if d.closed.Load() {
 		return nil, d.env.now.Load(), ErrClosed
@@ -37,110 +42,103 @@ func (d *Device) Iterate(submitAt sim.Time, prefix []byte, withValues bool) ([]I
 	if !ok {
 		return nil, d.env.now.Load(), ErrNoIterator
 	}
+	if len(prefix) < d.scheme.PrefixLen {
+		return nil, d.env.now.Load(), ErrPrefixTooShort
+	}
 	d.env.now.AdvanceTo(submitAt)
 	d.env.ChargeCPU(d.cfg.CmdCPU)
 
-	// All keys with this prefix share the signature's low 32 bits.
 	rps, err := sc.PrefixRecords(d.scheme.PrefixLow(prefix))
 	if err != nil {
 		return nil, d.env.now.Load(), err
 	}
-
-	var out []IterEntry
-	if d.cfg.ScanPrefetch {
-		out, err = d.iterateStaged(rps, prefix, withValues)
-		if err != nil {
-			return nil, d.env.now.Load(), err
-		}
-	} else {
-		for _, rp := range rps {
-			hdr, key, value, done, err := d.readPair(layout.RP(rp), withValues, true)
-			if err != nil {
-				return nil, done, err
-			}
-			if hdr.Tombstone() || !bytes.HasPrefix(key, prefix) {
-				continue
-			}
-			e := IterEntry{Key: append([]byte(nil), key...)}
-			if withValues {
-				e.Value = append([]byte(nil), value...)
-			}
-			out = append(out, e)
-		}
+	out, done, err := d.sweep(d.env.now.Load(), rps, d.pending, prefix, withValues)
+	d.env.now.AdvanceTo(done)
+	if err != nil {
+		return nil, d.env.now.Load(), err
 	}
-	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i].Key, out[j].Key) < 0 })
 	d.stats.iterates.Add(1)
 	return out, d.env.now.Load(), nil
 }
 
-// iterateStaged is Iterate's candidate sweep with prefix-group
-// prefetch: an iterator-mode signature group's records cluster on a few
-// log pages, so each distinct head page is read from flash once and
-// every sibling record on it decodes from the staged buffer. Records
-// still in an open page buffer come from the pending map, as in
-// readPair. Candidate order (and therefore the timeline) stays exactly
-// the enumeration order — only duplicate page reads disappear, counted
-// in PrefetchHits.
-func (d *Device) iterateStaged(rps []uint64, prefix []byte, withValues bool) ([]IterEntry, error) {
-	var out []IterEntry
-	staged := make(map[nand.PPA][]byte, len(rps))
+// sweep reads the pairs rps address and returns the live ones whose key
+// carries prefix, sorted by key. It sorts rps in place into flash order,
+// so each distinct data page is read — and charged to the timeline, from
+// at on — once however many of the records share it; every further
+// record on the current page counts in PrefetchHits. A multi-page value's
+// continuations are read behind its head page, which it shares with no
+// other pair. pending is the open-page buffer map for a live scan and nil
+// for a snapshot's, whose records are all on programmed flash. Entries
+// alias the page buffers until the sweep ends; keys and values are then
+// copied once into one exactly-sized slab, so the result is the caller's.
+func (d *Device) sweep(at sim.Time, rps []uint64, pending map[layout.RP]pendingPair, prefix []byte, withValues bool) ([]IterEntry, sim.Time, error) {
+	if len(rps) == 0 {
+		return nil, at, nil
+	}
+	slices.Sort(rps)
+	out := make([]IterEntry, 0, len(rps))
+	var (
+		page []byte         // data of page cur
+		cur  = ^nand.PPA(0) // no page read yet: no record pointer has this page
+		hits int64
+		size int
+	)
 	for _, rp0 := range rps {
 		rp := layout.RP(rp0)
-		var hdr layout.PairHeader
 		var key, value []byte
-		if p, ok := d.pending[rp]; ok {
-			hdr = layout.PairHeader{KeyLen: len(p.key), ValueLen: len(p.value)}
+		if p, ok := pending[rp]; ok {
 			key, value = p.key, p.value
+			if !bytes.HasPrefix(key, prefix) {
+				continue
+			}
 		} else {
 			ppa := nand.PPA(rp.Page())
-			data, ok := staged[ppa]
-			if !ok {
-				var err error
-				var done sim.Time
-				data, _, done, err = d.flash.Read(d.env.now.Load(), ppa)
-				if err != nil {
-					return nil, err
-				}
-				d.env.now.AdvanceTo(done)
-				staged[ppa] = data
+			if ppa == cur {
+				hits++
 			} else {
-				d.stats.prefetchHits.Add(1)
+				var err error
+				if page, _, at, err = d.flash.Read(at, ppa); err != nil {
+					return nil, at, err
+				}
+				cur = ppa
 			}
-			info, _, err := layout.SigInfoAt(data, rp.Slot())
+			info, _, err := layout.SigInfoAt(page, rp.Slot())
 			if err != nil {
-				return nil, err
+				return nil, at, err
 			}
-			hdr, key, value, err = layout.DecodePairAt(data, int(info.Offset))
-			if err != nil {
-				return nil, err
+			var hdr layout.PairHeader
+			if hdr, key, value, err = layout.DecodePairAt(page, int(info.Offset)); err != nil {
+				return nil, at, err
+			}
+			if hdr.Tombstone() || !bytes.HasPrefix(key, prefix) {
+				continue
 			}
 			if withValues && hdr.ValueLen > len(value) {
-				// Extent: continuations follow the head page in the same
-				// block (not staged — extents never share pages).
-				full := make([]byte, 0, hdr.ValueLen)
-				full = append(full, value...)
-				for i := 1; len(full) < hdr.ValueLen; i++ {
-					cont, _, cd, err := d.flash.Read(d.env.now.Load(), ppa+nand.PPA(i))
-					if err != nil {
-						return nil, err
-					}
-					d.env.now.AdvanceTo(cd)
-					full = append(full, cont...)
+				if value, at, err = d.readExtent(at, ppa, value, hdr.ValueLen); err != nil {
+					return nil, at, err
 				}
-				if len(full) > hdr.ValueLen {
-					full = full[:hdr.ValueLen]
-				}
-				value = full
 			}
 		}
-		if hdr.Tombstone() || !bytes.HasPrefix(key, prefix) {
-			continue
+		if !withValues {
+			value = nil
 		}
-		e := IterEntry{Key: append([]byte(nil), key...)}
-		if withValues {
-			e.Value = append([]byte(nil), value...)
-		}
-		out = append(out, e)
+		out = append(out, IterEntry{Key: key, Value: value})
+		size += len(key) + len(value)
 	}
-	return out, nil
+	d.stats.prefetchHits.Add(hits)
+
+	slab := make([]byte, 0, size)
+	own := func(b []byte) []byte {
+		if len(b) == 0 {
+			return nil // an empty value, or none asked for
+		}
+		n := len(slab)
+		slab = append(slab, b...)
+		return slab[n:len(slab):len(slab)]
+	}
+	for i := range out {
+		out[i].Key, out[i].Value = own(out[i].Key), own(out[i].Value)
+	}
+	slices.SortFunc(out, func(a, b IterEntry) int { return bytes.Compare(a.Key, b.Key) })
+	return out, at, nil
 }

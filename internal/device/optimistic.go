@@ -60,21 +60,9 @@ func (d *Device) readPairOptimistic(rp layout.RP, withValue, blocking bool) (hdr
 		return hdr, nil, nil, done, err
 	}
 	if withValue && hdr.ValueLen > len(value) {
-		// Extent: continuations follow the head page in the same block.
-		full := make([]byte, 0, hdr.ValueLen)
-		full = append(full, value...)
-		for i := 1; len(full) < hdr.ValueLen; i++ {
-			cont, _, cd, err := d.flash.Read(done, ppa+nand.PPA(i))
-			if err != nil {
-				return hdr, nil, nil, done, err
-			}
-			done = cd
-			full = append(full, cont...)
+		if value, done, err = d.readExtent(done, ppa, value, hdr.ValueLen); err != nil {
+			return hdr, nil, nil, done, err
 		}
-		if len(full) > hdr.ValueLen {
-			full = full[:hdr.ValueLen]
-		}
-		value = full
 	}
 	if blocking {
 		d.env.now.AdvanceTo(done)

@@ -38,26 +38,32 @@ func (d *Device) readPair(rp layout.RP, withValue, blocking bool) (hdr layout.Pa
 		return hdr, nil, nil, done, err
 	}
 	if withValue && hdr.ValueLen > len(value) {
-		// Extent: continuations follow the head page in the same block.
-		full := make([]byte, 0, hdr.ValueLen)
-		full = append(full, value...)
-		for i := 1; len(full) < hdr.ValueLen; i++ {
-			cont, _, cd, err := d.flash.Read(done, ppa+nand.PPA(i))
-			if err != nil {
-				return hdr, nil, nil, done, err
-			}
-			done = cd
-			full = append(full, cont...)
+		if value, done, err = d.readExtent(done, ppa, value, hdr.ValueLen); err != nil {
+			return hdr, nil, nil, done, err
 		}
-		if len(full) > hdr.ValueLen {
-			full = full[:hdr.ValueLen]
-		}
-		value = full
 	}
 	if blocking {
 		d.env.now.AdvanceTo(done)
 	}
 	return hdr, key, value, done, nil
+}
+
+// readExtent completes a multi-page value: head is the part stored on
+// its head page ppa, and the continuations follow that page in the same
+// block. Reads are issued back to back from at; the result is a private
+// copy of valueLen bytes. Pure, like flash reads: safe with no lock.
+func (d *Device) readExtent(at sim.Time, ppa nand.PPA, head []byte, valueLen int) ([]byte, sim.Time, error) {
+	full := make([]byte, 0, valueLen)
+	full = append(full, head...)
+	for i := 1; len(full) < valueLen; i++ {
+		cont, _, done, err := d.flash.Read(at, ppa+nand.PPA(i))
+		if err != nil {
+			return nil, at, err
+		}
+		at = done
+		full = append(full, cont[:min(len(cont), valueLen-len(full))]...)
+	}
+	return full, at, nil
 }
 
 // retrieveValueHit completes a get served from the hot-value tier: no

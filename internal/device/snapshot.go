@@ -180,20 +180,9 @@ func (d *Device) readPairEpoch(at sim.Time, rp layout.RP, withValue bool) (hdr l
 		return hdr, nil, nil, 0, done, err
 	}
 	if withValue && hdr.ValueLen > len(value) {
-		full := make([]byte, 0, hdr.ValueLen)
-		full = append(full, value...)
-		for i := 1; len(full) < hdr.ValueLen; i++ {
-			cont, _, cd, err := d.flash.Read(done, ppa+nand.PPA(i))
-			if err != nil {
-				return hdr, nil, nil, 0, done, err
-			}
-			done = cd
-			full = append(full, cont...)
+		if value, done, err = d.readExtent(done, ppa, value, hdr.ValueLen); err != nil {
+			return hdr, nil, nil, 0, done, err
 		}
-		if len(full) > hdr.ValueLen {
-			full = full[:hdr.ValueLen]
-		}
-		value = full
 	}
 	return hdr, key, value, recEpoch, done, nil
 }
@@ -326,9 +315,13 @@ func (s *Snapshot) frozenGet(sig index.Sig, submitAt sim.Time, key, dst []byte) 
 
 // Scan enumerates the snapshot's records whose keys share prefix (nil
 // matches everything), sorted by key, with no lock. Unlike the live
-// Iterate it requires no iterator-mode signature scheme — the frozen
-// view already holds every record — and it never blocks writers. The
-// result is a deep copy: valid after Release.
+// Iterate it requires no iterator-mode signature scheme and accepts any
+// prefix length — the frozen view already holds every record — and it
+// never blocks writers. When the scheme is iterator-mode and the prefix
+// names a signature group (len(prefix) >= PrefixLen), only that group's
+// view records are read; either way the reads go through the same
+// page-ordered sweep as Iterate. The result is a deep copy: valid after
+// Release.
 func (s *Snapshot) Scan(submitAt sim.Time, prefix []byte, withValues bool) ([]IterEntry, sim.Time, error) {
 	d := s.d
 	// Invalid before released; see Get.
@@ -343,30 +336,30 @@ func (s *Snapshot) Scan(submitAt sim.Time, prefix []byte, withValues bool) ([]It
 	}
 	d.env.now.AdvanceTo(submitAt)
 	d.env.ChargeCPU(d.cfg.CmdCPU)
-	at := d.env.now.Load()
-	var out []IterEntry
-	for _, rec := range s.view {
-		hdr, key, value, _, done, err := d.readPairEpoch(at, layout.RP(rec.RP), withValues)
-		if err != nil {
-			if s.invalid.Load() {
-				return nil, d.env.now.Load(), ErrSnapshotInvalid
+	var rps []uint64
+	if p := d.scheme.PrefixLen; p > 0 && len(prefix) >= p {
+		low := d.scheme.PrefixLow(prefix)
+		for _, rec := range s.view {
+			if uint32(rec.Lo) == low {
+				rps = append(rps, rec.RP)
 			}
-			return nil, d.env.now.Load(), err
 		}
-		at = done
-		if hdr.Tombstone() || !bytes.HasPrefix(key, prefix) {
-			continue
+	} else {
+		rps = make([]uint64, len(s.view))
+		for i, rec := range s.view {
+			rps[i] = rec.RP
 		}
-		e := IterEntry{Key: append([]byte(nil), key...)}
-		if withValues {
-			e.Value = append([]byte(nil), value...)
-		}
-		out = append(out, e)
 	}
+	out, done, err := d.sweep(d.env.now.Load(), rps, nil, prefix, withValues)
+	// Checked after the sweep's copy-out: if it still reads false, the
+	// pins were held throughout and every byte read was stable (see
+	// frozenGet).
 	if s.invalid.Load() {
 		return nil, d.env.now.Load(), ErrSnapshotInvalid
 	}
-	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i].Key, out[j].Key) < 0 })
-	d.env.now.AdvanceTo(at)
+	if err != nil {
+		return nil, d.env.now.Load(), err
+	}
+	d.env.now.AdvanceTo(done)
 	return out, d.env.now.Load(), nil
 }

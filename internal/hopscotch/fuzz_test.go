@@ -2,6 +2,7 @@ package hopscotch
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/hash"
@@ -17,7 +18,8 @@ import (
 // same page image; a buffer one byte short must be refused. Last, the
 // input bytes themselves are decoded as a page image: every column is
 // stored verbatim, so any image must survive decode → encode unchanged
-// whatever the capacity leaves for the loops' tails.
+// whatever the capacity leaves for the loops' tails. On both tables the
+// low-32 signature filter must agree with a Range oracle.
 func FuzzHopscotchTable(f *testing.F) {
 	f.Add([]byte{8, 2, 0, 1, 0, 2, 0, 3, 1, 1, 2, 1})       // puts then gets/deletes
 	f.Add([]byte{3, 1, 0, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5}) // overfill a tiny table
@@ -81,6 +83,13 @@ func FuzzHopscotchTable(f *testing.F) {
 			}
 		}
 
+		// The signature-column filter against the row-wise oracle, for
+		// every group in the pool and for 0, which free slots also carry.
+		checkLow32(t, tb, 0)
+		for _, sig := range pool {
+			checkLow32(t, tb, uint32(sig))
+		}
+
 		// Serialize → decode → everything must survive byte-exactly.
 		buf := make([]byte, tb.EncodedBytes())
 		tb.EncodeTo(buf)
@@ -126,5 +135,27 @@ func FuzzHopscotchTable(f *testing.F) {
 		if !bytes.Equal(again, buf) {
 			t.Fatal("raw page image changed across decode → encode")
 		}
+		// A raw image repeats the input, so signatures share low halves,
+		// and pairs any of them with a free or a used address.
+		checkLow32(t, fresh, 0)
+		for _, sig := range fresh.sigs {
+			checkLow32(t, fresh, uint32(sig))
+		}
 	})
+}
+
+// checkLow32 compares AppendLow32 with the same filter written over
+// Range, which visits slots in the same order.
+func checkLow32(t *testing.T, tb *Table, low uint32) {
+	t.Helper()
+	var want []uint64
+	tb.Range(func(sig, ppa uint64) bool {
+		if uint32(sig) == low {
+			want = append(want, ppa)
+		}
+		return true
+	})
+	if got := tb.AppendLow32(nil, low); !slices.Equal(got, want) {
+		t.Fatalf("AppendLow32(%#x) = %v, Range oracle %v", low, got, want)
+	}
 }

@@ -378,6 +378,21 @@ func (t *Table) RangeWide(f func(lo, hi, ppa uint64) bool) {
 	}
 }
 
+// AppendLow32 appends to dst the address of every stored record whose
+// signature's low 32 bits equal low, in slot order. It is a filter over
+// the signature column alone: the address column is read only on a
+// match, which is also what keeps a free slot — signature 0 — out of the
+// result when low is 0.
+func (t *Table) AppendLow32(dst []uint64, low uint32) []uint64 {
+	ppas := t.ppas[:len(t.sigs)]
+	for i, sig := range t.sigs {
+		if uint32(sig) == low && ppas[i] != emptyPPA {
+			dst = append(dst, ppas[i])
+		}
+	}
+	return dst
+}
+
 // Reset empties the table in place with plain bulk stores, so it may run
 // only while no optimistic reader can reach the table (see Table). It
 // runs a full write bracket, so it also revives an Invalidate-poisoned

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -373,6 +374,46 @@ func TestZeroSignatureIsStorable(t *testing.T) {
 	tb2.DecodeFrom(buf)
 	if ppa, ok := tb2.Get(0); !ok || ppa != 5 {
 		t.Fatalf("sig 0 lost in round trip: (%d,%v)", ppa, ok)
+	}
+}
+
+// TestAppendLow32ZeroSkipsFreeSlots pins the filter's one trap: a free
+// slot is {0, 0, emptyPPA}, so its signature column reads low == 0, and
+// only the address column tells it from a stored record whose signature
+// really ends in 32 zero bits. Iterator mode is 64-bit only, hence a
+// narrow table.
+func TestAppendLow32ZeroSkipsFreeSlots(t *testing.T) {
+	tb := New(32, 8)
+	put := func(sig, ppa uint64) {
+		t.Helper()
+		if _, err := tb.Put(sig, ppa); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(0, 100)           // the all-zero signature
+	put(7<<32, 101)       // low 32 bits zero, high bits set
+	put(9<<32, 102)       // same, deleted below
+	put(5<<32|0xabc, 200) // another prefix group
+	put(6<<32|0xabc, 201)
+	if _, ok := tb.Delete(9 << 32); !ok {
+		t.Fatal("delete failed")
+	}
+
+	got := tb.AppendLow32(nil, 0)
+	slices.Sort(got)
+	if !slices.Equal(got, []uint64{100, 101}) {
+		t.Fatalf("AppendLow32(0) = %v, want [100 101]: %d of 32 slots are free", got, 32-tb.Len())
+	}
+	got = tb.AppendLow32([]uint64{1}, 0xabc)
+	slices.Sort(got[1:])
+	if !slices.Equal(got, []uint64{1, 200, 201}) {
+		t.Fatalf("AppendLow32(dst, 0xabc) = %v, want [1 200 201]", got)
+	}
+	if got := tb.AppendLow32(nil, 0xdef); len(got) != 0 {
+		t.Fatalf("AppendLow32 of an absent group = %v", got)
+	}
+	if got := New(8, 4).AppendLow32(nil, 0); len(got) != 0 {
+		t.Fatalf("empty table matched low 0: %v", got)
 	}
 }
 

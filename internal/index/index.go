@@ -115,11 +115,13 @@ type SharedReader interface {
 
 // PrefixScanner is implemented by indexes that can enumerate candidate
 // record pointers for an iterator-mode key prefix (SigScheme.PrefixLen >
-// 0): every live record whose signature's low 32 bits equal low must be
-// included. Extra candidates are allowed — the device filters them by
-// comparing stored keys — but each superseded record version must be
-// excluded (newest wins). Enumeration order must be deterministic, since
-// flash reads it triggers are charged to the simulated timeline.
+// 0): exactly the live records whose signature's low 32 bits equal low —
+// the device reads every candidate's data page, so a record of another
+// prefix group is a wasted flash read. Two prefixes can still share low;
+// the device tells them apart by comparing stored keys. Each superseded
+// record version must be excluded (newest wins). The index's own flash
+// reads must be deterministic, since they are charged to the simulated
+// timeline; the device sorts the result, which the caller owns.
 type PrefixScanner interface {
 	PrefixRecords(low uint32) ([]uint64, error)
 }

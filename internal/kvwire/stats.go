@@ -48,8 +48,11 @@ type Stats struct {
 	EpochPins         uint64
 	// Cache-tier counters: the index-page cache's hits/misses plus the
 	// TinyLFU admission rejects, the hot-value tier's hits/misses, and
-	// scan prefetch hits. All zero on servers predating the tiered cache
-	// (field-count versioning zero-fills them) or running default-off.
+	// PrefetchHits: the records scans decoded from a data page already
+	// read for an earlier record of the same scan. All zero on servers
+	// predating the tiered cache (field-count versioning zero-fills
+	// them); the admission and hot-value counters also while those tiers
+	// run default-off.
 	CacheHits        uint64
 	CacheMisses      uint64
 	AdmissionRejects uint64

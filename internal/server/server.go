@@ -53,9 +53,10 @@ type Options struct {
 	// answers BUSY.
 	QueueDepth int
 	// ReadPool is the number of read workers per shard serving GET and
-	// EXIST (default 4). Reads run under the shard's read lock, so the
-	// pool executes DRAM-resident lookups concurrently; writes keep one
-	// ordered worker per shard regardless.
+	// EXIST (default 4). Under RHIK a read takes no shard lock (the
+	// optimistic tier) unless it needs a page-in, a lazy migration or a
+	// value still in an open page buffer, so the pool executes reads
+	// concurrently; writes keep one ordered worker per shard regardless.
 	ReadPool int
 	// RequestTimeout, when positive, drops requests that waited in
 	// queue longer than this with DEADLINE instead of executing them.
@@ -358,12 +359,12 @@ func (s *Server) executeBatch(t *task) {
 // executeScan fans a prefix iteration out to every shard (Set.Iterate
 // merges the sorted per-shard streams) and returns up to t.limit
 // entries. Requires the server's set to run iterator-mode signatures
-// (-prefixlen); otherwise the scan is a BAD_REQUEST, not an internal
-// error.
+// (-prefixlen) and a prefix at least that long; otherwise the scan is a
+// BAD_REQUEST, not an internal error.
 func (s *Server) executeScan(t *task) {
 	entries, err := s.set.Iterate(t.key)
 	if err != nil {
-		if errors.Is(err, device.ErrNoIterator) {
+		if errors.Is(err, device.ErrNoIterator) || errors.Is(err, device.ErrPrefixTooShort) {
 			t.c.reply(func(b []byte) []byte {
 				return kvwire.AppendError(b, t.id, kvwire.StatusBadRequest, err.Error())
 			})

@@ -195,7 +195,8 @@ func TestLoopbackMixedOps(t *testing.T) {
 
 // TestScanRoundTrip serves an iterator-mode set and checks SCAN end to
 // end: prefix filtering, sort order, limit clamping, and the
-// BAD_REQUEST mapping when the server lacks iterator signatures.
+// BAD_REQUEST mapping when the prefix is shorter than the signature
+// prefix or the server lacks iterator signatures.
 func TestScanRoundTrip(t *testing.T) {
 	set, err := rhik.OpenSet(rhik.Options{Capacity: 256 << 20, Shards: 4, IteratorPrefixLen: 6})
 	if err != nil {
@@ -247,6 +248,18 @@ func TestScanRoundTrip(t *testing.T) {
 	}
 	if len(limited) != 7 || string(limited[6].Key) != "scanme0006" {
 		t.Fatalf("limited scan: got %d entries", len(limited))
+	}
+
+	// A prefix shorter than -prefixlen names no signature group: BAD_REQUEST
+	// with the reason, not a partial (or empty) result. A longer one narrows.
+	for _, short := range []string{"", "scanm"} {
+		if got, err := c.Scan([]byte(short), 0); !errors.Is(err, kvwire.ErrBadRequest) ||
+			!strings.Contains(err.Error(), "shorter than") || got != nil {
+			t.Fatalf("scan %q: %d entries, %v; want ErrBadRequest naming the short prefix", short, len(got), err)
+		}
+	}
+	if got, err := c.Scan([]byte("scanme001"), 0); err != nil || len(got) != 10 {
+		t.Fatalf("longer-prefix scan: %d entries, %v; want 10", len(got), err)
 	}
 
 	// A server without iterator-mode signatures must reject SCAN with

@@ -374,6 +374,59 @@ func BenchmarkStoreRetrieve(b *testing.B) {
 	}
 }
 
+// BenchmarkPrefixScan is the scan half of the ledger's lib-scan workload
+// on its own: 2 shards preloaded with 200 000 sequential 16-byte keys and
+// 128-byte values, iterator-mode signatures, and scans of zipfian-chosen
+// 256-key groups with values. It reports flash reads per scan beside
+// ns/op and B/op — the cost model is one index read plus the group's
+// distinct data pages per shard, whatever else shares its directory
+// bucket — and fails if a scan allocates more than a fixed handful of
+// times: candidates, entries and one result slab per shard plus the
+// fan-out and merge, nothing per record.
+func BenchmarkPrefixScan(b *testing.B) {
+	const (
+		records   = 200_000
+		groupSize = 256
+		maxAllocs = 32
+	)
+	set, err := New(2, device.Config{
+		Capacity:  512 << 20,
+		SigScheme: index.SigScheme{Bits: 64, PrefixLen: workload.DefaultScanPrefixLen},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer set.Close()
+	for i := uint64(0); i < records; i++ {
+		if err := set.Store(workload.KeyBytes(i), workload.ValuePayload(i, 128)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Whole groups only, so every scan must return groupSize entries.
+	zipf := workload.NewZipfian(records/groupSize, 0.99, 21)
+	scan := func() {
+		prefix := workload.KeyBytes(zipf.NextID() * groupSize)[:workload.DefaultScanPrefixLen]
+		entries, err := set.Iterate(prefix)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(entries) != groupSize {
+			b.Fatalf("scan %q saw %d entries, want %d", prefix, len(entries), groupSize)
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, scan); allocs > maxAllocs {
+		b.Fatalf("a %d-key scan allocates %.0f times, want <= %d", groupSize, allocs, maxAllocs)
+	}
+	reads := set.Stats().Flash.Reads
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scan()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(set.Stats().Flash.Reads-reads)/float64(b.N), "flashreads/op")
+}
+
 // BenchmarkSnapshotScanVsLocked contrasts the two scan paths this PR
 // leaves in the tree, both resolving the same prefix group under live
 // write churn:

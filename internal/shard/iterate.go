@@ -11,27 +11,37 @@ import (
 // the per-shard sorted streams into one sorted result. Routing uses the
 // high signature bits while iterator-mode signatures reserve the low 32
 // bits for the prefix, so a prefix's keys are spread over all shards but
-// stay clustered within each: the fan-out costs one bounded bucket scan
-// per shard, executed concurrently.
+// stay clustered within each: the fan-out costs one signature-filtered
+// bucket scan per shard, executed concurrently.
 func (s *Set) Iterate(prefix []byte) ([]device.IterEntry, error) {
-	per := make([][]device.IterEntry, len(s.shards))
-	errs := make([]error, len(s.shards))
+	return scatter(len(s.shards), func(i int) ([]device.IterEntry, error) {
+		sh := s.shards[i]
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		entries, done, err := sh.dev.Iterate(sh.last.Load(), prefix, true)
+		if err != nil {
+			return nil, err
+		}
+		sh.last.AdvanceTo(done)
+		return entries, nil
+	})
+}
+
+// scatter runs scan(i) for each of n shards concurrently — shard 0 on the
+// caller's goroutine, so a one-shard set spawns nothing — and merges the
+// sorted per-shard results. The first error in shard order wins.
+func scatter(n int, scan func(i int) ([]device.IterEntry, error)) ([]device.IterEntry, error) {
+	per := make([][]device.IterEntry, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i, sh := range s.shards {
+	for i := 1; i < n; i++ {
 		wg.Add(1)
-		go func(i int, sh *Shard) {
+		go func(i int) {
 			defer wg.Done()
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			entries, done, err := sh.dev.Iterate(sh.last.Load(), prefix, true)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			sh.last.AdvanceTo(done)
-			per[i] = entries
-		}(i, sh)
+			per[i], errs[i] = scan(i)
+		}(i)
 	}
+	per[0], errs[0] = scan(0)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/index"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -145,6 +146,39 @@ func TestMergeSortedInterleaves(t *testing.T) {
 	for i, w := range want {
 		if string(got[i].Key) != w {
 			t.Fatalf("merged[%d] = %q, want %q", i, got[i].Key, w)
+		}
+	}
+}
+
+// TestIteratePrefixTooShort: a prefix shorter than the signature scheme's
+// PrefixLen selects no signature group on any shard, so the set refuses
+// it — counting no scan — instead of merging whatever the shards' wrong
+// buckets hold; at PrefixLen and beyond the fan-out returns the group.
+func TestIteratePrefixTooShort(t *testing.T) {
+	set, err := New(4, device.Config{
+		Capacity:  16 << 20,
+		SigScheme: index.SigScheme{Bits: 64, PrefixLen: 6},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	for i := 0; i < 200; i++ {
+		if err := set.Store([]byte(fmt.Sprintf("grp%03d:%03d", i%4, i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, prefix := range []string{"", "g", "grp00"} {
+		if got, err := set.Iterate([]byte(prefix)); !errors.Is(err, device.ErrPrefixTooShort) || got != nil {
+			t.Fatalf("Iterate(%q) = %d entries, %v; want ErrPrefixTooShort", prefix, len(got), err)
+		}
+	}
+	if n := set.Stats().Dev.Iterates; n != 0 {
+		t.Fatalf("refused scans counted %d device iterates", n)
+	}
+	for prefix, want := range map[string]int{"grp001": 50, "grp001:1": 25} {
+		if got, err := set.Iterate([]byte(prefix)); err != nil || len(got) != want {
+			t.Fatalf("Iterate(%q) = %d entries, %v; want %d", prefix, len(got), err, want)
 		}
 	}
 }

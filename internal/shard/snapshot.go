@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/device"
@@ -125,30 +124,15 @@ func (ss *SetSnapshot) Iterate(prefix []byte) ([]device.IterEntry, error) {
 	if ss.released.Load() {
 		return nil, device.ErrSnapshotReleased
 	}
-	per := make([][]device.IterEntry, len(ss.snaps))
-	errs := make([]error, len(ss.snaps))
-	var wg sync.WaitGroup
-	for i, sn := range ss.snaps {
-		wg.Add(1)
-		go func(i int, sn *device.Snapshot) {
-			defer wg.Done()
-			sh := ss.set.shards[i]
-			entries, done, err := sn.Scan(sh.last.Load(), prefix, true)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			sh.last.AdvanceTo(done)
-			per[i] = entries
-		}(i, sn)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	return scatter(len(ss.snaps), func(i int) ([]device.IterEntry, error) {
+		sh := ss.set.shards[i]
+		entries, done, err := ss.snaps[i].Scan(sh.last.Load(), prefix, true)
 		if err != nil {
 			return nil, err
 		}
-	}
-	return mergeSorted(per), nil
+		sh.last.AdvanceTo(done)
+		return entries, nil
+	})
 }
 
 // SnapshotStats is the frozen observability view of one SetSnapshot.

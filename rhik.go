@@ -54,6 +54,10 @@ var (
 	ErrCollision = index.ErrCollision
 	// ErrNoIterator reports Iterate without iterator-mode signatures.
 	ErrNoIterator = device.ErrNoIterator
+	// ErrPrefixTooShort reports Iterate with a prefix shorter than
+	// Options.IteratorPrefixLen: keys are grouped by that many leading
+	// bytes, so a shorter prefix has no group to scan.
+	ErrPrefixTooShort = device.ErrPrefixTooShort
 )
 
 // IndexScheme selects the in-device index.
@@ -118,9 +122,6 @@ type Options struct {
 	// doorkeeper) on RHIK's index-page cache, protecting hot directory
 	// buckets from one-touch scan traffic. Default off.
 	CacheAdmission bool
-	// ScanPrefetch makes prefix scans read each distinct data page once
-	// instead of once per record. Default off.
-	ScanPrefetch bool
 	// WAL configures the durable write front. Zero value = disabled: the
 	// emulated device is purely in-memory and all data dies with the
 	// process, exactly as before.
@@ -209,7 +210,6 @@ func OpenSet(opts Options) (*shard.Set, error) {
 		IncrementalResize:  opts.IncrementalResize,
 		ValueCacheBudget:   opts.ValueCacheBudget / int64(n),
 		CacheAdmission:     opts.CacheAdmission,
-		ScanPrefetch:       opts.ScanPrefetch,
 	}
 	switch opts.Index {
 	case RHIK:
@@ -282,8 +282,9 @@ type Entry struct {
 }
 
 // Iterate enumerates keys sharing prefix, sorted, with values. Requires
-// Options.IteratorPrefixLen > 0 and the RHIK index. The scan fans out to
-// every shard and merges the per-shard sorted streams.
+// Options.IteratorPrefixLen > 0 and a prefix at least that long
+// (ErrNoIterator, ErrPrefixTooShort). The scan fans out to every shard
+// and merges the per-shard sorted streams.
 func (db *DB) Iterate(prefix []byte) ([]Entry, error) {
 	entries, err := db.set.Iterate(prefix)
 	if err != nil {

@@ -242,6 +242,10 @@ func TestPublicIterator(t *testing.T) {
 			t.Fatalf("stray key %q", e.Key)
 		}
 	}
+	// A prefix shorter than IteratorPrefixLen names no key group.
+	if _, err := db.Iterate([]byte("usr")); !errors.Is(err, rhik.ErrPrefixTooShort) {
+		t.Fatalf("short prefix: err = %v", err)
+	}
 	// Without iterator mode, Iterate must refuse.
 	plain := openDB(t, rhik.Options{})
 	if _, err := plain.Iterate([]byte("x")); !errors.Is(err, rhik.ErrNoIterator) {

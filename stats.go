@@ -27,8 +27,8 @@ type Stats struct {
 	// Hot-value tier (zero unless Options.ValueCacheBudget > 0).
 	ValueCacheHits   int64
 	ValueCacheMisses int64
-	// PrefetchHits counts scan record reads served from an
-	// already-staged page (Options.ScanPrefetch).
+	// PrefetchHits counts the records scans decoded from a data page
+	// already read for an earlier record of the same scan.
 	PrefetchHits int64
 
 	// Flash activity.
