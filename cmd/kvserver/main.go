@@ -57,7 +57,6 @@ func main() {
 		walSeg    = flag.Int64("wal-segment", 0, "WAL segment rotation size in bytes (0 = default 4 MiB)")
 		ckptEvery = flag.Duration("checkpoint", 0, "periodic checkpoint interval; advances the WAL compaction horizon (0 = only at shutdown)")
 		valCache  = flag.Int64("value-cache", 0, "hot-value DRAM cache budget in bytes; 0 disables the value tier")
-		admission = flag.Bool("cache-admission", false, "TinyLFU admission on the index-page cache")
 	)
 	flag.Parse()
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
@@ -87,7 +86,6 @@ func main() {
 		IncrementalResize: *incr,
 		IteratorPrefixLen: *prefixLen,
 		ValueCacheBudget:  *valCache,
-		CacheAdmission:    *admission,
 		WAL: rhik.WALOptions{
 			Dir:         *walDir,
 			Fsync:       *walFsync,

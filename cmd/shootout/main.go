@@ -34,7 +34,6 @@ func main() {
 		capacity  = flag.Int64("capacity", 0, "device capacity in bytes (default 256 MiB)")
 		cache     = flag.Int64("cache", 0, "index DRAM budget in bytes (default 512 KiB)")
 		valCache  = flag.Int64("value-cache", 0, "hot-value DRAM budget in bytes (default 0: tier off)")
-		admission = flag.Bool("cache-admission", false, "TinyLFU admission on the index-page cache")
 		quick     = flag.Bool("quick", false, "tiny smoke-test grid (2k records, 4k ops, 2 engines x 2 workloads unless overridden)")
 		out       = flag.String("o", filepath.Join("results", "SHOOTOUT.json"), "output JSON path")
 	)
@@ -50,7 +49,6 @@ func main() {
 		Capacity:         *capacity,
 		CacheBudget:      *cache,
 		ValueCacheBudget: *valCache,
-		CacheAdmission:   *admission,
 	}
 	if *engines != "" {
 		cfg.Engines = strings.Split(*engines, ",")

@@ -70,8 +70,8 @@ type EngineStats struct {
 	Collisions                int64
 	CacheHits, CacheMisses    int64
 
-	// Cache-tier counters; all zero when the tiered cache is off.
-	AdmissionRejects                 int64
+	// Cache-tier counters; the value-cache pair is zero when that tier
+	// is off.
 	ValueCacheHits, ValueCacheMisses int64
 	PrefetchHits                     int64
 
@@ -100,8 +100,6 @@ type EngineConfig struct {
 	// Cells comparing against an untiered baseline must shrink
 	// CacheBudget by the same amount so total DRAM stays equal.
 	ValueCacheBudget int64
-	// CacheAdmission turns on TinyLFU admission for the index-page cache.
-	CacheAdmission bool
 }
 
 func (c *EngineConfig) applyDefaults() {
@@ -128,7 +126,6 @@ func (c EngineConfig) options(scheme rhik.IndexScheme) rhik.Options {
 		IteratorPrefixLen: c.PrefixLen,
 		AnticipatedKeys:   c.AnticipatedKeys,
 		ValueCacheBudget:  c.ValueCacheBudget,
-		CacheAdmission:    c.CacheAdmission,
 	}
 }
 
@@ -248,7 +245,6 @@ func (e *facadeEngine) Stats() EngineStats {
 		Collisions:       st.CollisionAborts,
 		CacheHits:        st.CacheHits,
 		CacheMisses:      st.CacheMisses,
-		AdmissionRejects: st.AdmissionRejects,
 		ValueCacheHits:   st.ValueCacheHits,
 		ValueCacheMisses: st.ValueCacheMisses,
 		PrefetchHits:     st.PrefetchHits,
@@ -308,7 +304,6 @@ func (e *setEngine) Stats() EngineStats {
 		Collisions:       st.Dev.CollisionAborts,
 		CacheHits:        st.Index.Cache.Hits,
 		CacheMisses:      st.Index.Cache.Misses,
-		AdmissionRejects: st.Index.Cache.AdmissionRejects,
 		ValueCacheHits:   st.Dev.ValueCacheHits,
 		ValueCacheMisses: st.Dev.ValueCacheMisses,
 		PrefetchHits:     st.Dev.PrefetchHits,

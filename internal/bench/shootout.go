@@ -55,8 +55,6 @@ type ShootoutConfig struct {
 	// comparison keep CacheBudget + ValueCacheBudget equal to the
 	// untiered baseline's CacheBudget.
 	ValueCacheBudget int64 `json:"value_cache_budget,omitempty"`
-	// CacheAdmission turns on TinyLFU admission for the index-page cache.
-	CacheAdmission bool `json:"cache_admission,omitempty"`
 }
 
 func (c *ShootoutConfig) applyDefaults() {
@@ -136,7 +134,6 @@ type Cell struct {
 	// Cache-tier effectiveness over the measured run; omitted when the
 	// tiered cache is off.
 	ValueCacheHitRate float64 `json:"value_cache_hit_rate,omitempty"`
-	AdmissionRejects  int64   `json:"admission_rejects,omitempty"`
 	PrefetchHits      int64   `json:"prefetch_hits,omitempty"`
 
 	ScanOps        int64 `json:"scan_ops,omitempty"`
@@ -228,7 +225,6 @@ func runCell(espec EngineSpec, spec workload.YCSBSpec, cfg ShootoutConfig) (Cell
 		CacheBudget:      cfg.CacheBudget,
 		PrefixLen:        cfg.ScanPrefixLen,
 		ValueCacheBudget: cfg.ValueCacheBudget,
-		CacheAdmission:   cfg.CacheAdmission,
 	})
 	if err != nil {
 		return Cell{}, err
@@ -356,7 +352,6 @@ func runCell(espec EngineSpec, spec workload.YCSBSpec, cfg ShootoutConfig) (Cell
 	if vhits+vmisses > 0 {
 		cell.ValueCacheHitRate = float64(vhits) / float64(vhits+vmisses)
 	}
-	cell.AdmissionRejects = after.AdmissionRejects - before.AdmissionRejects
 	cell.PrefetchHits = after.PrefetchHits - before.PrefetchHits
 	cell.Detail = after.Detail
 	cell.WallMs = nowMs() - wallStart

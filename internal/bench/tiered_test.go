@@ -4,14 +4,12 @@ import "testing"
 
 // tieredShootoutConfig is the golden cell's DRAM budget re-split across
 // the cache tiers: 8 KiB index pages + 8 KiB hot values instead of
-// 16 KiB index-only, with admission on. Total DRAM is
-// identical to goldenShootoutConfig, so any flash-read delta is the
-// tiering's doing, not extra memory.
+// 16 KiB index-only. Total DRAM is identical to goldenShootoutConfig,
+// so any flash-read delta is the tiering's doing, not extra memory.
 func tieredShootoutConfig() ShootoutConfig {
 	cfg := goldenShootoutConfig()
 	cfg.CacheBudget = 8 << 10
 	cfg.ValueCacheBudget = 8 << 10
-	cfg.CacheAdmission = true
 	return cfg
 }
 

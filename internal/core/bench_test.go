@@ -107,3 +107,64 @@ func BenchmarkPageIn(b *testing.B) {
 		b.Fatalf("%d write-backs over %d ops: not measuring dirty eviction", got, b.N)
 	}
 }
+
+// BenchmarkColdGet times a read-only Get that misses the cache at the
+// paper's page geometry with half the index resident and every resident
+// table clean, so each miss reads the bucket's page and answers from the
+// image: no decode, no install, no eviction, no write-back. Like
+// BenchmarkPageIn it must not allocate.
+func BenchmarkColdGet(b *testing.B) {
+	const (
+		pageSize  = 32 * 1024
+		buckets   = 16
+		perBucket = 1200
+	)
+	env := newRingEnv(4*buckets, pageSize)
+	r, err := New(Config{
+		PageSize:        pageSize,
+		AnticipatedKeys: buckets * 1927,
+		CacheBudget:     buckets / 2 * pageSize,
+	}, env)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := uint64(0); i < buckets*perBucket; i++ {
+		if _, _, err := r.Insert(sig64(i), i); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := r.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	// Only signatures of uncached buckets, so every Get misses.
+	var sigs []uint64
+	for i := uint64(0); i < buckets*perBucket; i++ {
+		if !r.cache.Contains(i % buckets) {
+			sigs = append(sigs, i)
+		}
+	}
+	i := 0
+	op := func() {
+		lo := sigs[i%len(sigs)]
+		if rp, ok, err := r.Get(sig64(lo)); err != nil || !ok || rp != lo {
+			b.Fatalf("Get(%d) = (%d, %v, %v)", lo, rp, ok, err)
+		}
+		i++
+	}
+	if allocs := testing.AllocsPerRun(4*buckets, op); allocs != 0 {
+		b.Fatalf("a cold Get allocates %.0f times per op, want 0", allocs)
+	}
+	reads, appends, evictions := env.reads, env.next, r.CacheStats().Evictions
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		op()
+	}
+	b.StopTimer()
+	if got := env.reads - reads; got != int64(b.N) {
+		b.Fatalf("%d page reads over %d ops: not measuring the miss path", got, b.N)
+	}
+	if env.next != appends || r.CacheStats().Evictions != evictions {
+		b.Fatal("a cold Get installed a table: not measuring the probe in place")
+	}
+}

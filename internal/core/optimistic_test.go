@@ -213,37 +213,29 @@ func TestOptimisticUnmigratedBucketEscalates(t *testing.T) {
 // back to the pool past a pinned reader shows up as a data race, or as
 // a validated probe holding another signature's record pointer. Every
 // accepted probe also commits, which holds the entry's touch handle and
-// the recycled CLOCK node behind it to the same rule; the tinylfu
-// variant attaches the admission sketch so that the commit reads the
-// node's key as well.
+// the recycled CLOCK node behind it to the same rule. The get variant
+// has the writer also read a record before each insert with the
+// read-only Get, whose misses either install over a dirty victim or
+// answer from the page image without touching the cache; it must see
+// both, and every answer must be what the writer stored last.
 func TestOptimisticReadersRacePageInChurn(t *testing.T) {
-	const tableBytes = 1020
-	t.Run("clock", func(t *testing.T) {
-		racePageInChurn(t, Config{CacheBudget: 2 * tableBytes}, func(*RHIK) {})
-	})
-	t.Run("tinylfu", func(t *testing.T) {
-		// TinyLFU never lets uniform traffic displace two tables the
-		// readers keep hot, so the writer makes the room itself: shrink
-		// to one table (an eviction), grow back (the next page-in fits
-		// the budget and lands without a duel).
-		racePageInChurn(t, Config{CacheBudget: 2 * tableBytes, Admission: true}, func(r *RHIK) {
-			r.ResizeCache(tableBytes)
-			r.ResizeCache(2 * tableBytes)
-		})
-	})
+	t.Run("clock", func(t *testing.T) { racePageInChurn(t, false) })
+	t.Run("get", func(t *testing.T) { racePageInChurn(t, true) })
 }
 
-func racePageInChurn(t *testing.T, cfg Config, beforeInsert func(*RHIK)) {
+func racePageInChurn(t *testing.T, gets bool) {
 	const (
 		buckets = 8
 		ids     = 160 // 20 per bucket of 60 slots: no resize, no collisions
 		readers = 4
 	)
 	dom := epoch.NewDomain()
-	cfg.PageSize = 1024
-	cfg.AnticipatedKeys = buckets * 60
-	cfg.Reclaim = dom
-	r, env := newTestRHIK(t, cfg)
+	r, env := newTestRHIK(t, Config{
+		PageSize:        1024,
+		AnticipatedKeys: buckets * 60,
+		CacheBudget:     2 * 1020, // two tables
+		Reclaim:         dom,
+	})
 	if r.DirEntries() != buckets || r.RecordsPerTable() != 60 {
 		t.Fatalf("geometry D=%d R=%d, want %d buckets of 60", r.DirEntries(), r.RecordsPerTable(), buckets)
 	}
@@ -291,10 +283,23 @@ func racePageInChurn(t *testing.T, cfg Config, beforeInsert func(*RHIK)) {
 		}(uint64(g) * 41)
 	}
 
+	var installs, probes int
 	deadline := time.Now().Add(5 * time.Second)
 	for round := uint64(1); !stop.Load(); round++ {
+		if gets {
+			id := (round*5 + 3) % ids
+			inserts, reads := r.CacheStats().Inserts, env.reads
+			if got, ok, err := r.Get(sigOf(id)); err != nil || !ok || got != last[id] {
+				t.Fatalf("round %d: Get(id %d) = (%#x, %v, %v), want %#x", round, id, got, ok, err, last[id])
+			}
+			switch {
+			case r.CacheStats().Inserts > inserts:
+				installs++
+			case env.reads > reads:
+				probes++
+			}
+		}
 		id := round * 7 % ids
-		beforeInsert(r)
 		last[id] = rpOf(id, round)
 		if _, _, err := r.Insert(sigOf(id), last[id]); err != nil {
 			t.Fatalf("round %d: %v", round, err)
@@ -320,6 +325,9 @@ func racePageInChurn(t *testing.T, cfg Config, beforeInsert func(*RHIK)) {
 	}
 	if cs := r.CacheStats(); env.appends < 1000 || env.reads < 1000 || cs.Evictions < 1000 {
 		t.Fatalf("only %d write-backs, %d page-ins and %d evictions: the cache never churned", env.appends, env.reads, cs.Evictions)
+	}
+	if gets && (installs == 0 || probes == 0) {
+		t.Fatalf("read misses installed %d times and probed the image %d times: want both", installs, probes)
 	}
 	if accepted.Load() == 0 {
 		t.Skip("no optimistic probe validated between evictions (single-core timing)")

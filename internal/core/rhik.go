@@ -47,13 +47,6 @@ type Config struct {
 	OccupancyThreshold float64
 	// CacheBudget is the SSD DRAM budget, in bytes, for record tables.
 	CacheBudget int64
-	// Admission enables TinyLFU admission for the record-table cache: a
-	// 4-bit count-min frequency sketch (plus doorkeeper) fed by every
-	// bucket access decides whether a faulted-in table may displace the
-	// next CLOCK victim, so one-touch scan traffic stops evicting hot
-	// buckets. Off (the default) reproduces the pre-admission cache
-	// bit-for-bit.
-	Admission bool
 	// CPUPerOp models the firmware cost of hashing and probing.
 	CPUPerOp sim.Duration
 	// MigrateCPUPerRecord models the firmware cost of re-inserting one
@@ -160,10 +153,6 @@ type dirEntry struct {
 type tableEntry struct {
 	table *hopscotch.Table
 	dirty bool
-	// bucket is the directory slot this entry was loaded for; transient
-	// (admission-rejected, never cached) entries use it to write back
-	// their mutations at end of op.
-	bucket uint64
 	// h is the entry's cache touch handle, set by publish before the
 	// entry becomes reachable, so an optimistic reader that validates
 	// can replicate the locked path's hit accounting and CLOCK recency
@@ -213,15 +202,6 @@ type RHIK struct {
 	scan  []uint64                   // PrefixRecords' filter scratch, so its result is one exact-size copy
 	mig   *migration                 // in-flight incremental re-configuration
 
-	// sketch is the TinyLFU admission filter shared across directory
-	// generations (nil when Config.Admission is off), so frequency
-	// history survives a resize. transients holds loadTable results the
-	// filter refused to cache: they live only until the current exported
-	// operation returns, when releaseTransients writes back any mutation
-	// and recycles them. Never published to optimistic readers.
-	sketch     *dram.FrequencySketch
-	transients []*tableEntry
-
 	n          int64 // total records
 	collisions int64
 	resizes    []index.ResizeEvent
@@ -252,17 +232,6 @@ func New(cfg Config, env index.Env) (*RHIK, error) {
 		reclaim: cfg.Reclaim,
 		r:       RecordsPerTable(cfg.PageSize, cfg.SigScheme.Wide()),
 		live:    make(map[nand.PPA]uint64),
-	}
-	if cfg.Admission {
-		// Size the sketch for a few multiples of the resident working set
-		// (budget/page tables fit at once); its footprint is charged to
-		// DRAMBytes, so keep it small relative to the cache budget.
-		resident := int(cfg.CacheBudget) / cfg.PageSize
-		n := 4 * resident
-		if n < 128 {
-			n = 128
-		}
-		r.sketch = dram.NewFrequencySketch(n)
 	}
 	d := DirectoryEntries(cfg.AnticipatedKeys, r.r)
 	r.dBits = bits.Len64(uint64(d)) - 1
@@ -300,7 +269,7 @@ func (r *RHIK) Occupancy() float64 { return float64(r.n) / float64(r.Capacity())
 // pointer re-check or the seqlock validation, never reads a recycled
 // table.
 func (r *RHIK) newCache(g *generation) *dram.Cache[*tableEntry] {
-	c := dram.New(r.cfg.CacheBudget, func(key uint64, e *tableEntry, _ int64) {
+	return dram.New(r.cfg.CacheBudget, func(key uint64, e *tableEntry, _ int64) {
 		g.resident[key].Store(nil)
 		e.table.Invalidate()
 		if e.dirty {
@@ -310,8 +279,6 @@ func (r *RHIK) newCache(g *generation) *dram.Cache[*tableEntry] {
 		}
 		r.retireEntry(e)
 	})
-	c.SetAdmission(r.sketch)
-	return c
 }
 
 // setIOErr stashes the first deferred write-back error and raises the
@@ -445,61 +412,59 @@ func (r *RHIK) newTable() *hopscotch.Table {
 }
 
 // loadTable returns the record table for bucket, fetching it from flash
-// (at most one read — the paper's guarantee) when not DRAM-resident.
+// (at most one read — the paper's guarantee) when not DRAM-resident, and
+// always leaves it cached: the callers go on to mutate it or hand its
+// records out.
 func (r *RHIK) loadTable(bucket uint64) (*tableEntry, error) {
 	if e, ok := r.cache.Get(bucket); ok {
 		return e, nil
 	}
 	g := r.g()
+	if !g.dirs[bucket].has {
+		return r.install(g, bucket, nil)
+	}
+	data, err := r.env.ReadPage(g.dirs[bucket].ppa)
+	if err != nil {
+		return nil, err
+	}
+	return r.install(g, bucket, data)
+}
+
+// install caches and publishes bucket's table, decoded from its page
+// image, or empty when image is nil. The decode comes before the cache
+// Put: the eviction that Put may run writes a table back, and that
+// write-back may move flash under image.
+func (r *RHIK) install(g *generation, bucket uint64, image []byte) (*tableEntry, error) {
 	t := r.takeTable()
-	if g.dirs[bucket].has {
-		data, err := r.env.ReadPage(g.dirs[bucket].ppa)
-		if err != nil {
-			r.recycle(t)
-			return nil, err
-		}
-		if err := t.DecodeFrom(data); err != nil {
-			r.recycle(t)
-			return nil, err
-		}
-	} else {
+	if image == nil {
 		t.Reset()
+	} else if err := t.DecodeFrom(image); err != nil {
+		r.recycle(t)
+		return nil, err
 	}
 	e := r.takeEntry(t)
-	e.bucket = bucket
-	if r.cache.PutAdmit(bucket, e, int64(t.EncodedBytes())) {
-		r.publish(g, bucket, e)
-	} else {
-		// TinyLFU refused the entry: it stays usable for the current
-		// operation but is never cached or published, and
-		// releaseTransients retires it (writing back any mutation) when
-		// the operation returns.
-		r.transients = append(r.transients, e)
-	}
+	r.cache.Put(bucket, e, int64(t.EncodedBytes()))
+	r.publish(g, bucket, e)
 	return e, nil
 }
 
-// releaseTransients retires admission-rejected table entries at the end
-// of an exported operation: dirty ones are written back to flash first
-// (errors surface through the deferred-write-back channel, like cache
-// eviction failures), then entry and table return to their pools —
-// immediately, because a transient entry was never reachable by
-// optimistic readers. The empty fast path is read-only so concurrent
-// shared-lock readers can run it racelessly.
-func (r *RHIK) releaseTransients() {
-	if len(r.transients) == 0 {
-		return
+// installOnRead is the rule for a read that missed the cache: install
+// the table only when that evicts nothing, or when the CLOCK victim is
+// dirty — its write-back is due anyway, and the read pays it instead of
+// the next write. Otherwise the read answers from the page image and
+// leaves the cache alone. A cache holding at most one table always has
+// room: it is the over-budget singleton, whose one entry every miss
+// replaces.
+func (r *RHIK) installOnRead() bool {
+	if r.cache.Len() <= 1 {
+		return true
 	}
-	for i, e := range r.transients {
-		if e.dirty {
-			if err := r.writeTable(r.g().dirs, e.bucket, e); err != nil {
-				r.setIOErr(err)
-			}
-		}
-		r.recycleEntry(e)
-		r.transients[i] = nil
+	size := hopscotch.EncodedSize(r.r)
+	if r.cfg.SigScheme.Wide() {
+		size = hopscotch.EncodedSizeWide(r.r)
 	}
-	r.transients = r.transients[:0]
+	v, evicts := r.cache.Victim(int64(size))
+	return !evicts || v.dirty
 }
 
 func (r *RHIK) checkIO() error {
@@ -515,7 +480,6 @@ func (r *RHIK) checkIO() error {
 // Insert implements index.Index.
 func (r *RHIK) Insert(sig index.Sig, rp uint64) (old uint64, replaced bool, err error) {
 	r.env.ChargeCPU(r.cfg.CPUPerOp)
-	defer r.releaseTransients()
 	if err := r.prepare(sig); err != nil {
 		return 0, false, err
 	}
@@ -543,10 +507,11 @@ func (r *RHIK) Insert(sig index.Sig, rp uint64) (old uint64, replaced bool, err 
 	return old, replaced, nil
 }
 
-// Lookup implements index.Index.
+// Lookup implements index.Index: the lookup that precedes a mutation,
+// so it leaves the bucket's table cached for the Insert or Delete that
+// follows it.
 func (r *RHIK) Lookup(sig index.Sig) (uint64, bool, error) {
 	r.env.ChargeCPU(r.cfg.CPUPerOp)
-	defer r.releaseTransients()
 	if err := r.prepare(sig); err != nil {
 		return 0, false, err
 	}
@@ -558,10 +523,46 @@ func (r *RHIK) Lookup(sig index.Sig) (uint64, bool, error) {
 	return rp, ok, r.checkIO()
 }
 
+// Get implements index.Index: the read-only lookup. A cache hit counts
+// and answers as Lookup's does. A miss reads the bucket's page — the
+// one flash read, charged as Lookup charges it — and then either
+// installs the table (installOnRead) or, leaving the cache untouched,
+// answers from the page image. A bucket that has no page holds nothing,
+// and nothing is installed for it.
+func (r *RHIK) Get(sig index.Sig) (uint64, bool, error) {
+	r.env.ChargeCPU(r.cfg.CPUPerOp)
+	if err := r.prepare(sig); err != nil {
+		return 0, false, err
+	}
+	bucket := r.bucketOf(sig)
+	e, ok := r.cache.Get(bucket)
+	if !ok {
+		g := r.g()
+		if !g.dirs[bucket].has {
+			return 0, false, r.checkIO()
+		}
+		data, err := r.env.ReadPage(g.dirs[bucket].ppa)
+		if err != nil {
+			return 0, false, err
+		}
+		if !r.installOnRead() {
+			rp, found, err := hopscotch.ProbeImage(data, r.r, r.cfg.SigScheme.Wide(), sig.Lo, sig.Hi)
+			if err != nil {
+				return 0, false, err
+			}
+			return rp, found, r.checkIO()
+		}
+		if e, err = r.install(g, bucket, data); err != nil {
+			return 0, false, err
+		}
+	}
+	rp, found := e.table.GetWide(sig.Lo, sig.Hi)
+	return rp, found, r.checkIO()
+}
+
 // Delete implements index.Index.
 func (r *RHIK) Delete(sig index.Sig) (uint64, bool, error) {
 	r.env.ChargeCPU(r.cfg.CPUPerOp)
-	defer r.releaseTransients()
 	if err := r.prepare(sig); err != nil {
 		return 0, false, err
 	}
@@ -578,10 +579,10 @@ func (r *RHIK) Delete(sig index.Sig) (uint64, bool, error) {
 }
 
 // Exist implements index.Index: the signature-reuse membership check
-// (§IV-A3). False positives are possible (two keys sharing a signature);
-// false negatives are not.
+// (§IV-A3), read-only like Get. False positives are possible (two keys
+// sharing a signature); false negatives are not.
 func (r *RHIK) Exist(sig index.Sig) (bool, error) {
-	_, ok, err := r.Lookup(sig)
+	_, ok, err := r.Get(sig)
 	return ok, err
 }
 
@@ -590,7 +591,7 @@ func (r *RHIK) Exist(sig index.Sig) (bool, error) {
 // deferred write-back error is pending, and the bucket's record table is
 // DRAM-resident. The check is pure — it charges no simulated time and
 // touches no counters — so a false answer costs nothing before the shard
-// falls back to the exclusive path. Once true, Lookup's only mutations
+// falls back to the exclusive path. Once true, Get's only mutations
 // are atomics: the cache hit counter and the entry's CLOCK reference bit
 // (eviction cannot intervene, because only exclusive writers evict).
 func (r *RHIK) SharedLookupReady(sig index.Sig) bool {
@@ -699,19 +700,14 @@ func (r *RHIK) Flush() error {
 // IndexStats implements index.StatsProvider.
 func (r *RHIK) IndexStats() index.Stats {
 	d := r.DirEntries()
-	var sketchBytes int64
-	if r.sketch != nil {
-		sketchBytes = r.sketch.Bytes()
-	}
 	return index.Stats{
 		Records:    r.n,
 		Collisions: r.collisions,
 		Resizes:    len(r.resizes),
 		DirEntries: d,
 		// Directory entries cost ~5 bytes (a flash page address) each in
-		// integrated DRAM, plus the record-table cache and, when admission
-		// is on, the frequency sketch.
-		DRAMBytes: int64(d)*5 + r.cache.Used() + sketchBytes,
+		// integrated DRAM, plus the record-table cache.
+		DRAMBytes: int64(d)*5 + r.cache.Used(),
 		Cache:     r.cache.Stats(),
 	}
 }

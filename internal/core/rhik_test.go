@@ -608,3 +608,103 @@ func TestWriteBackNestedInsideWriteBack(t *testing.T) {
 		}
 	}
 }
+
+// TestGetReadMissRule pins what a read-only Get does when the bucket's
+// table is not cached. With a full cache of clean tables it answers
+// from the page image: one flash read per miss, no eviction, no install,
+// no write-back, and the answers Lookup gives. When the CLOCK victim is
+// dirty it installs over it, and the victim is written back once. A
+// cache with room installs. A bucket with no page costs nothing.
+func TestGetReadMissRule(t *testing.T) {
+	const buckets, perBucket, tableBytes = 16, 20, 60 * hopscotch.SlotSize
+	r, env := newTestRHIK(t, Config{PageSize: 1024, AnticipatedKeys: buckets * 60, CacheBudget: 4 * tableBytes})
+	if r.DirEntries() != buckets {
+		t.Fatalf("D = %d, want %d", r.DirEntries(), buckets)
+	}
+	if rp, ok, err := r.Get(sig64(5)); err != nil || ok || rp != 0 || env.reads != 0 || r.cache.Len() != 0 {
+		t.Fatalf("Get in a bucket with no page = (%d, %v, %v) after %d reads, %d cached", rp, ok, err, env.reads, r.cache.Len())
+	}
+	want := map[uint64]uint64{}
+	for lo := uint64(0); lo < buckets*perBucket; lo++ {
+		if _, _, err := r.Insert(sig64(lo), lo+1); err != nil {
+			t.Fatal(err)
+		}
+		want[lo] = lo + 1
+	}
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	cold := func() []uint64 { // present and absent signatures of uncached buckets
+		var sigs []uint64
+		for lo := uint64(0); lo < 2*buckets*perBucket; lo++ {
+			if !r.cache.Contains(lo % buckets) {
+				sigs = append(sigs, lo)
+			}
+		}
+		return sigs
+	}
+
+	// Clean victims: probe in place.
+	sigs := cold()
+	before, reads, appends := r.CacheStats(), env.reads, env.appends
+	got := make([]uint64, len(sigs))
+	for i, lo := range sigs {
+		rp, ok, err := r.Get(sig64(lo))
+		if err != nil || ok != (want[lo] != 0) || rp != want[lo] {
+			t.Fatalf("Get(%d) = (%d, %v, %v), want %d", lo, rp, ok, err, want[lo])
+		}
+		got[i] = rp
+	}
+	after := r.CacheStats()
+	if env.reads-reads != int64(len(sigs)) || after.Misses-before.Misses != int64(len(sigs)) {
+		t.Fatalf("%d misses cost %d reads and counted %d misses", len(sigs), env.reads-reads, after.Misses-before.Misses)
+	}
+	if after.Evictions != before.Evictions || after.Inserts != before.Inserts || env.appends != appends {
+		t.Fatalf("clean-victim misses evicted %d, installed %d, wrote %d pages; want none",
+			after.Evictions-before.Evictions, after.Inserts-before.Inserts, env.appends-appends)
+	}
+	for i, lo := range sigs {
+		if rp, _, err := r.Lookup(sig64(lo)); err != nil || rp != got[i] {
+			t.Fatalf("Lookup(%d) = (%d, %v), Get said %d", lo, rp, err, got[i])
+		}
+	}
+
+	// Dirty victims: every cached table takes an update, then a miss
+	// installs over one of them and writes it back.
+	for b := uint64(0); b < buckets; b++ {
+		if r.cache.Contains(b) {
+			lo := b + buckets*perBucket
+			if _, _, err := r.Insert(sig64(lo), lo+1); err != nil {
+				t.Fatal(err)
+			}
+			want[lo] = lo + 1
+		}
+	}
+	lo := cold()[0]
+	before, appends = r.CacheStats(), env.appends
+	if rp, _, err := r.Get(sig64(lo)); err != nil || rp != want[lo] {
+		t.Fatalf("Get(%d) = (%d, %v), want %d", lo, rp, err, want[lo])
+	}
+	after = r.CacheStats()
+	if !r.cache.Contains(lo%buckets) || after.Inserts-before.Inserts != 1 || after.Evictions-before.Evictions != 1 || env.appends-appends != 1 {
+		t.Fatalf("dirty-victim miss: cached %v, %d installs, %d evictions, %d write-backs; want true, 1, 1, 1",
+			r.cache.Contains(lo%buckets), after.Inserts-before.Inserts, after.Evictions-before.Evictions, env.appends-appends)
+	}
+
+	// Room: the same miss installs and evicts nothing.
+	r.ResizeCache(buckets * tableBytes)
+	lo = cold()[0]
+	before, appends = r.CacheStats(), env.appends
+	if rp, _, err := r.Get(sig64(lo)); err != nil || rp != want[lo] {
+		t.Fatalf("Get(%d) = (%d, %v), want %d", lo, rp, err, want[lo])
+	}
+	after = r.CacheStats()
+	if !r.cache.Contains(lo%buckets) || after.Inserts-before.Inserts != 1 || after.Evictions != before.Evictions || env.appends != appends {
+		t.Fatal("a miss with room in the cache did not install, or evicted")
+	}
+	for lo, rp := range want {
+		if got, ok, err := r.Get(sig64(lo)); err != nil || !ok || got != rp {
+			t.Fatalf("Get(%d) = (%d, %v, %v), want %d", lo, got, ok, err, rp)
+		}
+	}
+}

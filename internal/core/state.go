@@ -108,7 +108,6 @@ func (r *RHIK) Owner(p nand.PPA) (uint64, bool) {
 // the rest load through the cache, charging enumeration's flash reads
 // to the simulated timeline like any other index access.
 func (r *RHIK) RangeRecords(f func(lo, hi, rp uint64) bool) error {
-	defer r.releaseTransients()
 	if r.mig != nil {
 		if err := r.drainMigration(); err != nil {
 			return err
@@ -144,7 +143,6 @@ func (r *RHIK) RangeRecords(f func(lo, hi, rp uint64) bool) error {
 // records whose stored signature carries low, not the bucket's other
 // prefix groups (§VI).
 func (r *RHIK) PrefixRecords(low uint32) ([]uint64, error) {
-	defer r.releaseTransients()
 	bucket := uint64(low) & uint64(len(r.g().dirs)-1)
 	if r.mig != nil {
 		if oldB := bucket & uint64(r.mig.oldD-1); !r.mig.migrated[oldB] {
@@ -167,7 +165,6 @@ func (r *RHIK) PrefixRecords(low uint32) ([]uint64, error) {
 // generation is relocated by simply migrating its bucket, which
 // invalidates the old copy.
 func (r *RHIK) Relocate(bucket uint64) error {
-	defer r.releaseTransients()
 	if r.mig != nil && bucket < uint64(r.mig.oldD) && !r.mig.migrated[bucket] {
 		return r.migrateBucket(bucket)
 	}

@@ -137,9 +137,6 @@ type Config struct {
 	// overwriting Store/Delete acknowledges. 0 (default) disables it and
 	// keeps the read path byte-identical to the pre-cache device.
 	ValueCacheBudget int64
-	// CacheAdmission enables TinyLFU admission on the index-page cache
-	// (RHIK only; see core.Config.Admission).
-	CacheAdmission bool
 }
 
 func (c *Config) applyDefaults() {
@@ -437,7 +434,6 @@ func (d *Device) buildIndex() (index.Index, error) {
 			AnticipatedKeys:    d.cfg.AnticipatedKeys,
 			OccupancyThreshold: d.cfg.OccupancyThreshold,
 			CacheBudget:        d.cfg.CacheBudget,
-			Admission:          d.cfg.CacheAdmission,
 			IncrementalResize:  d.cfg.IncrementalResize,
 			Reclaim:            d.reclaim,
 		}, d.env)

@@ -103,7 +103,7 @@ func (d *Device) retrieve(submitAt sim.Time, key, dst []byte, sig index.Sig) ([]
 	d.env.ChargeCPU(d.cfg.CmdCPU)
 	metaBefore := d.env.metaReads.Load()
 
-	rp, ok, err := d.idx.Lookup(sig)
+	rp, ok, err := d.idx.Get(sig)
 	metaDelta := d.env.metaReads.Load() - metaBefore
 	d.metaPerOp.Record(metaDelta)
 	d.metaPerGet.Record(metaDelta)
@@ -187,7 +187,7 @@ func (d *Device) exist(submitAt sim.Time, key []byte, sig index.Sig) (bool, sim.
 	d.env.ChargeCPU(d.cfg.CmdCPU)
 	metaBefore := d.env.metaReads.Load()
 
-	rp, ok, err := d.idx.Lookup(sig)
+	rp, ok, err := d.idx.Get(sig)
 	d.metaPerOp.Record(d.env.metaReads.Load() - metaBefore)
 	if err != nil {
 		return false, d.env.now.Load(), err

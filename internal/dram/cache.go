@@ -21,8 +21,9 @@ type Stats struct {
 	Misses    int64
 	Evictions int64
 	Inserts   int64
-	// AdmissionRejects counts PutAdmit calls the TinyLFU filter refused
-	// (always 0 when no admission sketch is attached).
+	// AdmissionRejects is always 0: the cache admits every Put. The field
+	// stays because the STATS wire reply is positional and the benchmark
+	// module's counters still read it.
 	AdmissionRejects int64
 }
 
@@ -66,17 +67,10 @@ type Cache[V any] struct {
 	free    []*entry[V] // unlinked nodes handed back through Recycle
 	onEvict EvictFunc[V]
 
-	// admit, when non-nil, is the TinyLFU frequency sketch consulted by
-	// PutAdmit and fed by Get/TouchHit. nil (the default) means admit-all:
-	// PutAdmit degrades to Put and the read path never touches the sketch,
-	// so default-off behavior is bit-identical to the pre-admission cache.
-	admit *FrequencySketch
-
-	hits             atomic.Int64
-	misses           atomic.Int64
-	evictions        atomic.Int64
-	inserts          atomic.Int64
-	admissionRejects atomic.Int64
+	hits      atomic.Int64
+	misses    atomic.Int64
+	evictions atomic.Int64
+	inserts   atomic.Int64
 }
 
 // New returns a cache with the given byte budget. onEvict may be nil.
@@ -94,9 +88,6 @@ func New[V any](budget int64, onEvict EvictFunc[V]) *Cache[V] {
 // Get returns the cached value for key, setting its reference bit.
 // Every call counts as a hit or a miss. Safe for concurrent readers.
 func (c *Cache[V]) Get(key uint64) (V, bool) {
-	if c.admit != nil {
-		c.admit.Touch(key)
-	}
 	e, ok := c.byKey[key]
 	if !ok {
 		c.misses.Add(1)
@@ -154,9 +145,6 @@ func (c *Cache[V]) Handle(key uint64) (Handle[V], bool) {
 // readers call it after their version check passes so CLOCK recency and
 // hit accounting match the locked path.
 func (c *Cache[V]) TouchHit(h Handle[V]) {
-	if c.admit != nil {
-		c.admit.Touch(h.e.key)
-	}
 	c.hits.Add(1)
 	h.e.ref.Store(true)
 }
@@ -226,44 +214,26 @@ const (
 // entry per insert never hold more than a few.
 const maxFreeEntries = 64
 
-// SetAdmission attaches (or, with nil, detaches) a TinyLFU frequency
-// sketch. With a sketch attached, Get and TouchHit record every access
-// and PutAdmit duels new entries against the next clock victim.
+// Victim reports the value a Put of a new key of the given size would
+// evict first, and false when that Put fits the budget and evicts
+// nothing. It is what the next eviction will claim, but it claims
+// nothing itself: the hand stays put and no reference bit is cleared.
 // Writer-side only.
-func (c *Cache[V]) SetAdmission(s *FrequencySketch) { c.admit = s }
-
-// PutAdmit is Put gated by the TinyLFU admission duel. Updates of
-// already-cached keys and inserts that fit the remaining budget always
-// land; an insert that would force an eviction is admitted only when the
-// candidate's estimated frequency beats the clock victim's, so one-touch
-// traffic cannot displace a hotter resident entry. It reports whether the
-// entry was cached. Without an attached sketch it is exactly Put.
-func (c *Cache[V]) PutAdmit(key uint64, value V, size int64) bool {
-	if c.admit != nil {
-		c.admit.MaybeHalve()
-		if size < 0 {
-			size = 0
-		}
-		if _, ok := c.byKey[key]; !ok && c.used+size > c.budget && len(c.ring) > 1 {
-			if v := c.peekVictim(); v != nil && c.admit.Estimate(key) <= c.admit.Estimate(v.key) {
-				c.admissionRejects.Add(1)
-				return false
-			}
-		}
+func (c *Cache[V]) Victim(size int64) (V, bool) {
+	if c.used+size <= c.budget || len(c.ring) == 0 {
+		var zero V
+		return zero, false
 	}
-	c.Put(key, value, size)
-	return true
+	return c.peekVictim().value, true
 }
 
 // peekVictim returns the entry the next eviction would claim — the first
 // clear-ref entry from the hand — without granting second chances or
 // moving the hand. Falls back to the hand entry when every ref bit is
-// set (the real eviction would clear them and come back around).
+// set (the real eviction would clear them and come back around). The
+// ring must not be empty.
 func (c *Cache[V]) peekVictim() *entry[V] {
 	n := len(c.ring)
-	if n == 0 {
-		return nil
-	}
 	h := c.hand
 	for i := 0; i < n; i++ {
 		if h >= n {
@@ -393,11 +363,10 @@ func (c *Cache[V]) Budget() int64 { return c.budget }
 // snapshot is per-counter-atomic rather than a single consistent cut.
 func (c *Cache[V]) Stats() Stats {
 	return Stats{
-		Hits:             c.hits.Load(),
-		Misses:           c.misses.Load(),
-		Evictions:        c.evictions.Load(),
-		Inserts:          c.inserts.Load(),
-		AdmissionRejects: c.admissionRejects.Load(),
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Evictions: c.evictions.Load(),
+		Inserts:   c.inserts.Load(),
 	}
 }
 
@@ -408,5 +377,4 @@ func (c *Cache[V]) ResetStats() {
 	c.misses.Store(0)
 	c.evictions.Store(0)
 	c.inserts.Store(0)
-	c.admissionRejects.Store(0)
 }

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -416,5 +417,45 @@ func TestRecycleReusesEvictedNodes(t *testing.T) {
 		if v, ok := c.Get(k); !ok || v != int(k) {
 			t.Fatalf("Get(%d) = (%d,%v): a node was handed out twice (removed value %d)", k, v, ok, gone)
 		}
+	}
+}
+
+// TestVictimPredictsEviction drives two caches through the same seeded
+// Put/Get schedule, asking one of them for its Victim before every Put.
+// The answer must be the first entry that Put then evicts (or none when
+// it evicts nothing), and asking must change nothing: both caches evict
+// the same keys in the same order.
+func TestVictimPredictsEviction(t *testing.T) {
+	var asked, quiet []uint64
+	c := New[uint64](50, func(key uint64, _ uint64, _ int64) { asked = append(asked, key) })
+	twin := New[uint64](50, func(key uint64, _ uint64, _ int64) { quiet = append(quiet, key) })
+	if _, ok := c.Victim(10); ok {
+		t.Fatal("empty cache reported a victim")
+	}
+	state := uint64(7)
+	for i := 0; i < 2000; i++ {
+		state = state*6364136223846793005 + 1442695040888963407
+		key := state >> 60 // 16 keys behind a 5-entry budget
+		if state>>59&1 == 0 {
+			c.Get(key)
+			twin.Get(key)
+			continue
+		}
+		want, evicts := c.Victim(10)
+		if c.Contains(key) {
+			evicts = false // an update never evicts: same size, same budget
+		}
+		before := len(asked)
+		c.Put(key, key, 10)
+		twin.Put(key, key, 10)
+		switch {
+		case evicts && (len(asked) == before || asked[before] != want):
+			t.Fatalf("op %d: Victim said %d, Put evicted %v", i, want, asked[before:])
+		case !evicts && len(asked) != before:
+			t.Fatalf("op %d: Victim said none, Put evicted %v", i, asked[before:])
+		}
+	}
+	if len(asked) == 0 || !slices.Equal(asked, quiet) {
+		t.Fatalf("asking for victims changed evictions: %d vs %d", len(asked), len(quiet))
 	}
 }

@@ -19,7 +19,10 @@ import (
 // input bytes themselves are decoded as a page image: every column is
 // stored verbatim, so any image must survive decode → encode unchanged
 // whatever the capacity leaves for the loops' tails. On both tables the
-// low-32 signature filter must agree with a Range oracle.
+// low-32 signature filter must agree with a Range oracle, and a probe of
+// the page image (ProbeImage) must agree with GetWide on the decoded
+// table. Wide tables store a nonzero upper half, so that a probe with
+// the high half changed has something to miss.
 func FuzzHopscotchTable(f *testing.F) {
 	f.Add([]byte{8, 2, 0, 1, 0, 2, 0, 3, 1, 1, 2, 1})       // puts then gets/deletes
 	f.Add([]byte{3, 1, 0, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5}) // overfill a tiny table
@@ -34,6 +37,12 @@ func FuzzHopscotchTable(f *testing.F) {
 		wide := data[1]&0x80 != 0
 		tb := newTable(capacity, hopRange, wide)
 		model := map[uint64]uint64{}
+		hiOf := func(sig uint64) uint64 {
+			if wide {
+				return ^sig
+			}
+			return 0
+		}
 
 		// Key pool: half adversarial (same home bucket), half spread.
 		pool := make([]uint64, 0, 16)
@@ -52,7 +61,7 @@ func FuzzHopscotchTable(f *testing.F) {
 			ppa := uint64(i/2) + 1
 			switch ops[i] % 3 {
 			case 0: // put
-				replaced, err := tb.Put(sig, ppa)
+				replaced, err := tb.PutWide(sig, hiOf(sig), ppa)
 				_, has := model[sig]
 				if err != nil {
 					if has {
@@ -65,13 +74,13 @@ func FuzzHopscotchTable(f *testing.F) {
 				}
 				model[sig] = ppa
 			case 1: // get
-				got, ok := tb.Get(sig)
+				got, ok := tb.GetWide(sig, hiOf(sig))
 				want, has := model[sig]
 				if ok != has || (has && got != want) {
 					t.Fatalf("op %d: Get(%#x) = (%d,%v), model (%d,%v)", i, sig, got, ok, want, has)
 				}
 			case 2: // delete
-				got, ok := tb.Delete(sig)
+				got, ok := tb.DeleteWide(sig, hiOf(sig))
 				want, has := model[sig]
 				if ok != has || (has && got != want) {
 					t.Fatalf("op %d: Delete(%#x) = (%d,%v), model (%d,%v)", i, sig, got, ok, want, has)
@@ -104,7 +113,7 @@ func FuzzHopscotchTable(f *testing.F) {
 			t.Fatalf("decoded Len=%d, model %d", fresh.Len(), len(model))
 		}
 		for sig, want := range model {
-			if got, ok := fresh.Get(sig); !ok || got != want {
+			if got, ok := fresh.GetWide(sig, hiOf(sig)); !ok || got != want {
 				t.Fatalf("decoded Get(%#x) = (%d,%v), want %d", sig, got, ok, want)
 			}
 		}
@@ -113,6 +122,7 @@ func FuzzHopscotchTable(f *testing.F) {
 		if !bytes.Equal(again, buf) {
 			t.Fatal("re-encoding the decoded table changed the page image")
 		}
+		checkProbe(t, fresh, buf, pool, hiOf)
 
 		// The input as a raw page image.
 		empty := 0
@@ -141,7 +151,44 @@ func FuzzHopscotchTable(f *testing.F) {
 		for _, sig := range fresh.sigs {
 			checkLow32(t, fresh, uint32(sig))
 		}
+		checkProbe(t, fresh, buf, fresh.sigs, fresh.hiOfSig)
 	})
+}
+
+// hiOfSig is the upper half stored beside the first slot holding sig
+// (0 when none does), so a raw image's probes can ask for what is there.
+func (t *Table) hiOfSig(sig uint64) uint64 {
+	for i, s := range t.sigs {
+		if s == sig {
+			return t.hiOf(i)
+		}
+	}
+	return 0
+}
+
+// checkProbe compares ProbeImage on buf, the page image of tb, with
+// GetWide on tb: for each signature in sigs with the upper half hiOf
+// gives and with that half changed, for signature 0 (which free slots
+// carry too), and for signatures nobody stored. A buffer one byte short
+// must be an error, not a panic.
+func checkProbe(t *testing.T, tb *Table, buf []byte, sigs []uint64, hiOf func(uint64) uint64) {
+	t.Helper()
+	probe := func(lo, hi uint64) {
+		got, ok, err := ProbeImage(buf, tb.Cap(), tb.Wide(), lo, hi)
+		want, has := tb.GetWide(lo, hi)
+		if err != nil || ok != has || got != want {
+			t.Fatalf("ProbeImage(%#x, %#x) = (%d, %v, %v), GetWide (%d, %v)", lo, hi, got, ok, err, want, has)
+		}
+	}
+	probe(0, 0)
+	for i, sig := range sigs {
+		probe(sig, hiOf(sig))
+		probe(sig, hiOf(sig)^1)
+		probe(hash.Mix64(sig+uint64(i)), 0)
+	}
+	if _, _, err := ProbeImage(buf[:len(buf)-1], tb.Cap(), tb.Wide(), 0, 0); err == nil {
+		t.Fatal("probe accepted a truncated buffer")
+	}
 }
 
 // checkLow32 compares AppendLow32 with the same filter written over

@@ -3,6 +3,9 @@ package hopscotch
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+
+	"repro/internal/hash"
 )
 
 // The page image is columnar and little-endian: R signatures (8 bytes
@@ -67,6 +70,41 @@ func (t *Table) DecodeFrom(buf []byte) error {
 	}
 	t.endWrite()
 	return nil
+}
+
+// ProbeImage is DecodeFrom followed by GetWide, without the decode: it
+// looks sig (lo, hi) up directly in the page image EncodeTo wrote for a
+// table of the given capacity and signature width. It reads the home
+// slot's hopinfo word, the signatures its bits name, and the address
+// (and, wide, the upper half) of a matching slot — a few cache lines of
+// the image instead of all of it. Like DecodeFrom it rejects a buffer
+// shorter than the image; the bytes are otherwise trusted as written.
+func ProbeImage(buf []byte, capacity int, wide bool, lo, hi uint64) (ppa uint64, ok bool, err error) {
+	n, need := capacity, EncodedSize(capacity)
+	if wide {
+		need = EncodedSizeWide(capacity)
+	}
+	if n < 1 || len(buf) < need {
+		return 0, false, fmt.Errorf("hopscotch: probe buffer %d < %d", len(buf), need)
+	}
+	sigs, hops := buf[:n*sigBytes], buf[n*sigBytes:n*(sigBytes+hopBytes)]
+	ppas := buf[n*(sigBytes+hopBytes) : n*SlotSize]
+	home := int(hash.Mix64(lo) % uint64(n))
+	for hop := binary.LittleEndian.Uint32(hops[home*hopBytes:]); hop != 0; hop &= hop - 1 {
+		slot := (home + bits.TrailingZeros32(hop)) % n
+		if binary.LittleEndian.Uint64(sigs[slot*sigBytes:]) != lo {
+			continue
+		}
+		p := uint40(ppas[slot*ppaBytes:])
+		var h uint64
+		if wide {
+			h = binary.LittleEndian.Uint64(buf[n*SlotSize+slot*sigBytes:])
+		}
+		if p != emptyPPA && h == hi {
+			return p, true, nil
+		}
+	}
+	return 0, false, nil
 }
 
 // The column loops below move four elements per iteration: re-slicing

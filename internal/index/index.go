@@ -85,8 +85,16 @@ type Index interface {
 	// replaced record pointer (for staleness accounting) if any.
 	// ErrCollision aborts the operation.
 	Insert(sig Sig, rp uint64) (old uint64, replaced bool, err error)
-	// Lookup returns the record pointer for sig.
+	// Lookup returns the record pointer for sig. It is the lookup that
+	// precedes a mutation of sig's record (store, delete, GC relocation,
+	// recovery), so an index that caches pages keeps the one it read:
+	// the mutation that follows must not read it again.
 	Lookup(sig Sig) (rp uint64, ok bool, err error)
+	// Get is Lookup for a read that mutates nothing after it (GET,
+	// EXIST). Its answer and its flash-read bound are Lookup's, but an
+	// index may answer a cache miss from the page it read without
+	// caching that page.
+	Get(sig Sig) (rp uint64, ok bool, err error)
 	// Delete removes sig's record, returning the old record pointer.
 	Delete(sig Sig) (rp uint64, ok bool, err error)
 	// Exist is the signature-based membership check: true means the key
@@ -101,11 +109,11 @@ type Index interface {
 	Name() string
 }
 
-// SharedReader is implemented by indexes whose Lookup/Exist can run under
+// SharedReader is implemented by indexes whose Get/Exist can run under
 // a shared (read) lock when the needed state is DRAM-resident.
 // SharedLookupReady must be a pure pre-flight check: no timeline charges,
 // no counter updates, no cache recency effects. When it returns true, a
-// subsequent Lookup/Exist for the same sig is guaranteed to mutate nothing
+// subsequent Get/Exist for the same sig is guaranteed to mutate nothing
 // but atomics (counters, cache reference bits) — safe among concurrent
 // readers — because only writers, which hold the exclusive lock, can
 // evict or restructure between the check and the lookup.

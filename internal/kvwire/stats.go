@@ -46,13 +46,15 @@ type Stats struct {
 	OptimisticRetries uint64
 	FallbackExclusive uint64
 	EpochPins         uint64
-	// Cache-tier counters: the index-page cache's hits/misses plus the
-	// TinyLFU admission rejects, the hot-value tier's hits/misses, and
-	// PrefetchHits: the records scans decoded from a data page already
-	// read for an earlier record of the same scan. All zero on servers
-	// predating the tiered cache (field-count versioning zero-fills
-	// them); the admission and hot-value counters also while those tiers
-	// run default-off.
+	// Cache-tier counters: the index-page cache's hits/misses, the
+	// hot-value tier's hits/misses, and PrefetchHits: the records scans
+	// decoded from a data page already read for an earlier record of the
+	// same scan. All zero on servers predating the tiered cache
+	// (field-count versioning zero-fills them); the hot-value counters
+	// also while that tier runs default-off. AdmissionRejects is always
+	// 0: the index-page cache has no admission filter any more, but the
+	// reply is positional, so the field keeps its place, and the
+	// benchmark module's counters still read it.
 	CacheHits        uint64
 	CacheMisses      uint64
 	AdmissionRejects uint64

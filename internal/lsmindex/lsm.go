@@ -171,6 +171,9 @@ func (ix *Index) Insert(sig index.Sig, rp uint64) (old uint64, replaced bool, er
 	return old, replaced, ix.checkIO()
 }
 
+// Get implements index.Index: the same probe as Lookup.
+func (ix *Index) Get(sig index.Sig) (uint64, bool, error) { return ix.Lookup(sig) }
+
 // Lookup implements index.Index.
 func (ix *Index) Lookup(sig index.Sig) (uint64, bool, error) {
 	ix.env.ChargeCPU(ix.cfg.CPUPerCompare * 8)

@@ -288,6 +288,9 @@ func (ix *Index) Insert(sig index.Sig, rp uint64) (old uint64, replaced bool, er
 	return 0, false, ix.checkIO()
 }
 
+// Get implements index.Index: the same probe as Lookup.
+func (ix *Index) Get(sig index.Sig) (uint64, bool, error) { return ix.Lookup(sig) }
+
 // Lookup implements index.Index, probing levels top-down.
 func (ix *Index) Lookup(sig index.Sig) (uint64, bool, error) {
 	for l := 0; l < len(ix.dirs); l++ {

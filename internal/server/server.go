@@ -423,7 +423,6 @@ func (s *Server) collectStats() kvwire.Stats {
 
 		CacheHits:        uint64(agg.Index.Cache.Hits),
 		CacheMisses:      uint64(agg.Index.Cache.Misses),
-		AdmissionRejects: uint64(agg.Index.Cache.AdmissionRejects),
 		ValueCacheHits:   uint64(agg.Dev.ValueCacheHits),
 		ValueCacheMisses: uint64(agg.Dev.ValueCacheMisses),
 		PrefetchHits:     uint64(agg.Dev.PrefetchHits),

@@ -308,49 +308,6 @@ func BenchmarkValueCacheHit(b *testing.B) {
 	})
 }
 
-// BenchmarkAdmissionYCSB runs a zipf-skewed GET stream against an index
-// cache under real pressure — a 256 KiB budget holding 8 of ~32 resident
-// tables — with TinyLFU admission off versus on. The interesting number
-// is the reported flash-reads/op metric: admission refuses to let
-// one-touch cold buckets evict the zipf head's tables, so the gated run
-// should issue fewer flash reads for the same op stream. (This is the
-// scenario the 16 KiB golden cell cannot exercise: there the budget
-// holds a single 32 KiB table, so the duel never engages.)
-func BenchmarkAdmissionYCSB(b *testing.B) {
-	const keys = 8192
-	for _, mode := range []string{"admit-all", "tinylfu"} {
-		b.Run(mode, func(b *testing.B) {
-			set, ks := benchSet(b, keys, func(c *device.Config) {
-				c.CacheBudget = 256 << 10
-				c.CacheAdmission = mode == "tinylfu"
-			})
-			defer set.Close()
-			zipf := workload.NewZipfian(keys, 0.99, 42)
-			ids := make([]uint64, 1<<16)
-			for i := range ids {
-				ids[i] = zipf.NextID()
-			}
-			before := set.Stats().Flash.Reads
-			dst := make([]byte, 0, 256)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				v, err := set.RetrieveAppend(dst[:0], ks[ids[i%len(ids)]])
-				if err != nil {
-					b.Fatal(err)
-				}
-				dst = v
-			}
-			b.StopTimer()
-			st := set.Stats()
-			b.ReportMetric(float64(st.Flash.Reads-before)/float64(b.N), "flashreads/op")
-			if mode == "tinylfu" && st.Index.Cache.AdmissionRejects == 0 {
-				b.Fatal("no admission rejects: the duel never engaged")
-			}
-		})
-	}
-}
-
 // BenchmarkStoreRetrieve measures the synchronous single-client
 // store+retrieve round trip through the shard front-end (write path
 // regression guard for the CI bench record).

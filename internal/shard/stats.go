@@ -108,7 +108,6 @@ func (s *Set) Stats() Stats {
 		out.Index.Cache.Misses += is.Cache.Misses
 		out.Index.Cache.Evictions += is.Cache.Evictions
 		out.Index.Cache.Inserts += is.Cache.Inserts
-		out.Index.Cache.AdmissionRejects += is.Cache.AdmissionRejects
 
 		out.Flash.Reads += fs.Reads
 		out.Flash.Programs += fs.Programs

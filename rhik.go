@@ -118,10 +118,6 @@ type Options struct {
 	// acknowledges; 0 (the default) disables it and keeps the read path
 	// byte-identical to previous releases.
 	ValueCacheBudget int64
-	// CacheAdmission enables TinyLFU admission (frequency sketch +
-	// doorkeeper) on RHIK's index-page cache, protecting hot directory
-	// buckets from one-touch scan traffic. Default off.
-	CacheAdmission bool
 	// WAL configures the durable write front. Zero value = disabled: the
 	// emulated device is purely in-memory and all data dies with the
 	// process, exactly as before.
@@ -209,7 +205,6 @@ func OpenSet(opts Options) (*shard.Set, error) {
 		CheckpointEveryOps: ckpt,
 		IncrementalResize:  opts.IncrementalResize,
 		ValueCacheBudget:   opts.ValueCacheBudget / int64(n),
-		CacheAdmission:     opts.CacheAdmission,
 	}
 	switch opts.Index {
 	case RHIK:

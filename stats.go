@@ -22,7 +22,6 @@ type Stats struct {
 	CollisionAborts  int64
 	CacheHits        int64
 	CacheMisses      int64
-	AdmissionRejects int64
 
 	// Hot-value tier (zero unless Options.ValueCacheBudget > 0).
 	ValueCacheHits   int64
@@ -76,7 +75,6 @@ func (db *DB) Stats() Stats {
 		CollisionAborts:  agg.Dev.CollisionAborts,
 		CacheHits:        agg.Index.Cache.Hits,
 		CacheMisses:      agg.Index.Cache.Misses,
-		AdmissionRejects: agg.Index.Cache.AdmissionRejects,
 		ValueCacheHits:   agg.Dev.ValueCacheHits,
 		ValueCacheMisses: agg.Dev.ValueCacheMisses,
 		PrefetchHits:     agg.Dev.PrefetchHits,
