@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-
-	"repro/internal/dram"
 	"repro/internal/index"
 	"repro/internal/sim"
 )
@@ -17,7 +14,6 @@ import (
 // per-command cost is bounded and tail latency stays flat.
 type migration struct {
 	oldGen    *generation
-	oldCache  *dram.Cache[*tableEntry]
 	migrated  []bool
 	cursor    uint64
 	oldD      int
@@ -48,7 +44,6 @@ func (r *RHIK) startIncrementalResize() error {
 	oldD := len(oldG.dirs)
 	mig := &migration{
 		oldGen:    oldG,
-		oldCache:  r.cache,
 		migrated:  make([]bool, oldD),
 		oldD:      oldD,
 		started:   r.env.Now(),
@@ -104,68 +99,8 @@ func (r *RHIK) prepare(sig index.Sig) error {
 // directory (at most one flash read, like any bucket access).
 func (r *RHIK) migrateBucket(b uint64) error {
 	mig := r.mig
-	var src *tableEntry
-	if e, ok := mig.oldCache.Remove(b); ok {
-		// Unpublish from the old generation and poison the table before
-		// its records move: an optimistic reader still probing the old
-		// generation fails validation instead of seeing a stale bucket.
-		mig.oldGen.resident[b].Store(nil)
-		e.table.Invalidate()
-		src = e
-	} else if mig.oldGen.dirs[b].has {
-		data, err := r.env.ReadPage(mig.oldGen.dirs[b].ppa)
-		if err != nil {
-			return fmt.Errorf("core: incremental migrate bucket %d: %w", b, err)
-		}
-		t := r.takeTable()
-		if err := t.DecodeFrom(data); err != nil {
-			r.recycle(t)
-			return fmt.Errorf("core: incremental decode bucket %d: %w", b, err)
-		}
-		src = r.takeEntry(t)
-	}
-
-	lowT := r.takeEntry(r.takeEmptyTable())
-	lowT.dirty = true
-	highT := r.takeEntry(r.takeEmptyTable())
-	highT.dirty = true
-	lowBit := uint64(mig.oldD)
-	if src != nil {
-		var migErr error
-		r.env.ChargeCPU(sim.Duration(src.table.Len()) * r.cfg.MigrateCPUPerRecord)
-		src.table.RangeWide(func(lo, hi, rp uint64) bool {
-			dst := lowT
-			if lo&lowBit != 0 {
-				dst = highT
-			}
-			if _, err := dst.table.PutWide(lo, hi, rp); err != nil {
-				migErr = fmt.Errorf("core: incremental migration collision in bucket %d: %w", b, err)
-				return false
-			}
-			return true
-		})
-		if migErr != nil {
-			return migErr
-		}
-		r.retireEntry(src)
-	}
-	g := r.g()
-	if lowT.table.Len() > 0 {
-		r.cache.Put(b, lowT, int64(lowT.table.EncodedBytes()))
-		r.publish(g, b, lowT)
-	} else {
-		r.recycleEntry(lowT)
-	}
-	if highT.table.Len() > 0 {
-		r.cache.Put(b+uint64(mig.oldD), highT, int64(highT.table.EncodedBytes()))
-		r.publish(g, b+uint64(mig.oldD), highT)
-	} else {
-		r.recycleEntry(highT)
-	}
-	if mig.oldGen.dirs[b].has {
-		r.env.Invalidate(mig.oldGen.dirs[b].ppa)
-		delete(r.live, mig.oldGen.dirs[b].ppa)
-		mig.oldGen.dirs[b].has = false
+	if err := r.splitBucket(mig.oldGen, r.g(), b, "incremental"); err != nil {
+		return err
 	}
 	mig.migrated[b] = true
 	mig.remaining--

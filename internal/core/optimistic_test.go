@@ -132,7 +132,7 @@ func TestOptimisticProbeInvalidatedByEviction(t *testing.T) {
 		if _, _, err := r.Insert(sig64(b), b); err != nil {
 			t.Fatal(err)
 		}
-		if !r.SharedLookupReady(sigA) {
+		if !r.cache.Contains(r.bucketOf(sigA)) {
 			evicted = true
 			break
 		}

@@ -27,92 +27,29 @@ func (r *RHIK) ResizeEvents() []index.ResizeEvent { return r.resizes }
 // are never read. The device halts the submission queue around this
 // call, so the measured duration is the paper's "resizing time" (Fig. 7).
 func (r *RHIK) Resize() error {
+	r.enter()
+	defer r.exit()
 	if r.cfg.IncrementalResize {
 		return r.startIncrementalResize()
 	}
 	start := r.env.Now()
 	keysBefore := r.n
 
+	// The new generation is private until the swap below, so optimistic
+	// readers keep validating against the old generation: a bucket they
+	// probe is either untouched (the read linearizes before the resize)
+	// or already unpublished/poisoned (the read fails validation and
+	// escalates).
 	oldG := r.g()
-	oldD := len(oldG.dirs)
-	newG := newGeneration(2 * oldD)
+	newG := newGeneration(2 * len(oldG.dirs))
 	newG.cache = r.newCache(newG)
-	newCache := newG.cache
-	lowBit := uint64(oldD) // the new directory bit
-
-	// Migrate bucket by bucket. Each old bucket b splits into new buckets
-	// b and b+oldD, decided by bit d of each record's signature. The new
-	// generation is private until the swap below, so optimistic readers
-	// keep validating against the old generation: a bucket they probe is
-	// either untouched (the read linearizes before the resize) or already
-	// unpublished/poisoned (the read fails validation and escalates).
-	for b := uint64(0); b < uint64(oldD); b++ {
-		var src *tableEntry
-		if e, ok := r.cache.Remove(b); ok {
-			oldG.resident[b].Store(nil)
-			e.table.Invalidate()
-			src = e
-		} else if oldG.dirs[b].has {
-			data, err := r.env.ReadPage(oldG.dirs[b].ppa)
-			if err != nil {
-				return fmt.Errorf("core: resize read bucket %d: %w", b, err)
-			}
-			t := r.takeTable()
-			if err := t.DecodeFrom(data); err != nil {
-				r.recycle(t)
-				return fmt.Errorf("core: resize decode bucket %d: %w", b, err)
-			}
-			src = r.takeEntry(t)
-		}
-
-		lowT := r.takeEntry(r.takeEmptyTable())
-		lowT.dirty = true
-		highT := r.takeEntry(r.takeEmptyTable())
-		highT.dirty = true
-		if src != nil {
-			var migErr error
-			r.env.ChargeCPU(sim.Duration(src.table.Len()) * r.cfg.MigrateCPUPerRecord)
-			src.table.RangeWide(func(lo, hi, rp uint64) bool {
-				dst := lowT
-				if lo&lowBit != 0 {
-					dst = highT
-				}
-				if _, err := dst.table.PutWide(lo, hi, rp); err != nil {
-					migErr = fmt.Errorf("core: resize migration collision in bucket %d: %w", b, err)
-					return false
-				}
-				return true
-			})
-			if migErr != nil {
-				return migErr
-			}
-		}
-		if src != nil {
-			r.retireEntry(src)
-		}
-		// Empty tables need no flash presence: leave their directory
-		// entries unpersisted and skip caching.
-		if lowT.table.Len() > 0 {
-			newCache.Put(b, lowT, int64(lowT.table.EncodedBytes()))
-			r.publish(newG, b, lowT)
-		} else {
-			r.recycleEntry(lowT)
-		}
-		if highT.table.Len() > 0 {
-			newCache.Put(b+uint64(oldD), highT, int64(highT.table.EncodedBytes()))
-			r.publish(newG, b+uint64(oldD), highT)
-		} else {
-			r.recycleEntry(highT)
-		}
-		// The old persisted page is superseded.
-		if oldG.dirs[b].has {
-			r.env.Invalidate(oldG.dirs[b].ppa)
-			delete(r.live, oldG.dirs[b].ppa)
+	for b := range oldG.dirs {
+		if err := r.splitBucket(oldG, newG, uint64(b), "resize"); err != nil {
+			return err
 		}
 	}
-
 	r.gen.Store(newG)
-	r.cache = newCache
+	r.cache = newG.cache
 	r.dBits++
 
 	if err := r.checkIO(); err != nil {
@@ -123,5 +60,70 @@ func (r *RHIK) Resize() error {
 		NewCapacity: r.Capacity(),
 		Took:        r.env.Now().Sub(start),
 	})
+	return nil
+}
+
+// splitBucket moves old bucket b's records into generation g, whose
+// directory is twice old's: bit log2(D) of each record's stored
+// signature sends it to bucket b or b+D of g. The source table is taken
+// out of old's cache — unpublished and poisoned first, so an optimistic
+// reader still probing old fails validation instead of seeing a
+// half-moved bucket — or read from its page, at most one flash read like
+// any bucket access. A half that ends up empty needs no flash presence
+// and is neither cached nor persisted. Old's page for b is superseded.
+// what names the caller in errors.
+func (r *RHIK) splitBucket(old, g *generation, b uint64, what string) error {
+	oldD := uint64(len(old.dirs))
+	var src *tableEntry
+	if e, ok := old.cache.Remove(b); ok {
+		old.resident[b].Store(nil)
+		e.table.Invalidate()
+		src = e
+	} else if old.dirs[b].has {
+		data, err := r.env.ReadPage(old.dirs[b].ppa)
+		if err != nil {
+			return fmt.Errorf("core: %s read bucket %d: %w", what, b, err)
+		}
+		t := r.takeTable()
+		if err := t.DecodeFrom(data); err != nil {
+			r.recycle(t)
+			return fmt.Errorf("core: %s decode bucket %d: %w", what, b, err)
+		}
+		src = r.takeEntry(t)
+	}
+
+	low, high := r.takeEntry(r.takeEmptyTable()), r.takeEntry(r.takeEmptyTable())
+	if src != nil {
+		var err error
+		r.env.ChargeCPU(sim.Duration(src.table.Len()) * r.cfg.MigrateCPUPerRecord)
+		src.table.RangeWide(func(lo, hi, rp uint64) bool {
+			dst := low
+			if lo&oldD != 0 {
+				dst = high
+			}
+			if _, err = dst.table.PutWide(lo, hi, rp); err != nil {
+				err = fmt.Errorf("core: %s migration collision in bucket %d: %w", what, b, err)
+				return false
+			}
+			return true
+		})
+		if err != nil {
+			return err
+		}
+		r.retireEntry(src)
+	}
+	for i, e := range [2]*tableEntry{low, high} {
+		if e.table.Len() == 0 {
+			r.recycleEntry(e)
+			continue
+		}
+		e.dirty = true
+		r.put(g, b+uint64(i)*oldD, e)
+	}
+	if old.dirs[b].has {
+		r.env.Invalidate(old.dirs[b].ppa)
+		delete(r.live, old.dirs[b].ppa)
+		old.dirs[b].has = false
+	}
 	return nil
 }

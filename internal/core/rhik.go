@@ -150,14 +150,13 @@ type dirEntry struct {
 	has bool     // whether a persisted copy exists
 }
 
+// tableEntry is a cached record table. It embeds its cache node, so an
+// entry, its table and its place in the CLOCK ring are pooled together
+// and share one lifetime (see retireEntry).
 type tableEntry struct {
+	dram.Node
 	table *hopscotch.Table
 	dirty bool
-	// h is the entry's cache touch handle, set by publish before the
-	// entry becomes reachable, so an optimistic reader that validates
-	// can replicate the locked path's hit accounting and CLOCK recency
-	// without the key map. The zero Handle marks a never-published entry.
-	h dram.Handle[*tableEntry]
 }
 
 // generation is one directory generation: the dirEntry slice plus, per
@@ -198,9 +197,10 @@ type RHIK struct {
 	live  map[nand.PPA]uint64        // persisted page -> bucket, for index-zone GC
 	pool  []*hopscotch.Table         // recycled tables; avoids per-miss allocation
 	epool []*tableEntry              // recycled cache entries; keeps misses alloc-free
-	wbuf  []byte                     // spare page-image buffer, nil while checked out; see writeTable
+	wbuf  []byte                     // page-image buffer every write-back encodes into
 	scan  []uint64                   // PrefixRecords' filter scratch, so its result is one exact-size copy
 	mig   *migration                 // in-flight incremental re-configuration
+	busy  bool                       // an exported operation is running; see enter
 
 	n          int64 // total records
 	collisions int64
@@ -213,7 +213,6 @@ type RHIK struct {
 func (r *RHIK) g() *generation { return r.gen.Load() }
 
 var _ index.Index = (*RHIK)(nil)
-var _ index.SharedReader = (*RHIK)(nil)
 var _ index.Resizer = (*RHIK)(nil)
 var _ index.Relocator = (*RHIK)(nil)
 var _ index.Checkpointer = (*RHIK)(nil)
@@ -281,6 +280,22 @@ func (r *RHIK) newCache(g *generation) *dram.Cache[*tableEntry] {
 	})
 }
 
+// enter marks an exported operation as running and panics if one already
+// is: an Env call came back into the index. Garbage collection runs
+// between device commands, never inside an index operation, so no Env
+// call may re-enter; one that did would evict tables its caller still
+// holds. Every operation that can reach the Env brackets itself with
+// enter and a deferred exit. The lock-free probes do not: they never
+// reach the Env.
+func (r *RHIK) enter() {
+	if r.busy {
+		panic("core: index operation re-entered from inside another; index.Env must not call back into the index")
+	}
+	r.busy = true
+}
+
+func (r *RHIK) exit() { r.busy = false }
+
 // setIOErr stashes the first deferred write-back error and raises the
 // lock-free mirror flag so optimistic readers escalate until a writer
 // surfaces the error via checkIO.
@@ -306,13 +321,12 @@ func (r *RHIK) retireEntry(e *tableEntry) {
 	r.reclaim.Retire(func() { r.recycleEntry(e) })
 }
 
-// publish makes bucket's cached entry reachable by optimistic readers.
-// Call after every cache.Put of a non-empty table.
-func (r *RHIK) publish(g *generation, bucket uint64, e *tableEntry) {
-	if h, ok := g.cache.Handle(bucket); ok {
-		e.h = h
-		g.resident[bucket].Store(e)
-	}
+// put caches bucket's entry in generation g and makes it reachable by
+// optimistic readers. The Put never evicts the entry it inserts, so the
+// entry is cached when it is published.
+func (r *RHIK) put(g *generation, bucket uint64, e *tableEntry) {
+	g.cache.Put(bucket, e, int64(e.table.EncodedBytes()))
+	g.resident[bucket].Store(e)
 }
 
 // recycle returns an evicted table to the pool. Callers follow a
@@ -355,17 +369,12 @@ func (r *RHIK) takeEntry(t *hopscotch.Table) *tableEntry {
 	return &tableEntry{table: t}
 }
 
-// recycleEntry returns an entry, its table and (if it was ever cached)
-// its cache node to their pools. The node goes to the current cache,
-// which after a resize is not the one it came out of. That is harmless:
-// a node holds nothing of its cache — the Put that reuses it rewrites
-// key, value, size and ring position — and by the time an entry gets
-// here no reader of either generation can still redeem its handle.
+// recycleEntry returns an entry and its table to their pools. The entry
+// is in no cache by now, and the Put that reuses it rewrites its node,
+// whichever generation's cache that Put is into.
 func (r *RHIK) recycleEntry(e *tableEntry) {
 	r.recycle(e.table)
 	e.table = nil
-	r.cache.Recycle(e.h)
-	e.h = dram.Handle[*tableEntry]{}
 	if len(r.epool) < 64 {
 		r.epool = append(r.epool, e)
 	}
@@ -373,20 +382,13 @@ func (r *RHIK) recycleEntry(e *tableEntry) {
 
 // writeTable persists a record table and repoints its directory entry.
 // Every table of one RHIK has the same image size and Env.AppendPage
-// copies what it programs, so write-backs share one encode buffer. They
-// do nest, though: AppendPage may run GC, whose relocations come back
-// into the index, page a table in and evict another dirty one. The
-// buffer is therefore checked out for the duration of the call, and a
-// nested write-back, finding none, allocates its own.
+// copies what it programs, so write-backs share one encode buffer.
 func (r *RHIK) writeTable(dirs []dirEntry, bucket uint64, e *tableEntry) error {
-	buf := r.wbuf
-	r.wbuf = nil
-	if buf == nil {
-		buf = make([]byte, e.table.EncodedBytes())
+	if r.wbuf == nil {
+		r.wbuf = make([]byte, e.table.EncodedBytes())
 	}
-	e.table.EncodeTo(buf)
-	ppa, err := r.env.AppendPage(buf)
-	r.wbuf = buf
+	e.table.EncodeTo(r.wbuf)
+	ppa, err := r.env.AppendPage(r.wbuf)
 	if err != nil {
 		return err
 	}
@@ -443,8 +445,7 @@ func (r *RHIK) install(g *generation, bucket uint64, image []byte) (*tableEntry,
 		return nil, err
 	}
 	e := r.takeEntry(t)
-	r.cache.Put(bucket, e, int64(t.EncodedBytes()))
-	r.publish(g, bucket, e)
+	r.put(g, bucket, e)
 	return e, nil
 }
 
@@ -479,6 +480,8 @@ func (r *RHIK) checkIO() error {
 
 // Insert implements index.Index.
 func (r *RHIK) Insert(sig index.Sig, rp uint64) (old uint64, replaced bool, err error) {
+	r.enter()
+	defer r.exit()
 	r.env.ChargeCPU(r.cfg.CPUPerOp)
 	if err := r.prepare(sig); err != nil {
 		return 0, false, err
@@ -511,6 +514,8 @@ func (r *RHIK) Insert(sig index.Sig, rp uint64) (old uint64, replaced bool, err 
 // so it leaves the bucket's table cached for the Insert or Delete that
 // follows it.
 func (r *RHIK) Lookup(sig index.Sig) (uint64, bool, error) {
+	r.enter()
+	defer r.exit()
 	r.env.ChargeCPU(r.cfg.CPUPerOp)
 	if err := r.prepare(sig); err != nil {
 		return 0, false, err
@@ -530,6 +535,8 @@ func (r *RHIK) Lookup(sig index.Sig) (uint64, bool, error) {
 // answers from the page image. A bucket that has no page holds nothing,
 // and nothing is installed for it.
 func (r *RHIK) Get(sig index.Sig) (uint64, bool, error) {
+	r.enter()
+	defer r.exit()
 	r.env.ChargeCPU(r.cfg.CPUPerOp)
 	if err := r.prepare(sig); err != nil {
 		return 0, false, err
@@ -562,6 +569,8 @@ func (r *RHIK) Get(sig index.Sig) (uint64, bool, error) {
 
 // Delete implements index.Index.
 func (r *RHIK) Delete(sig index.Sig) (uint64, bool, error) {
+	r.enter()
+	defer r.exit()
 	r.env.ChargeCPU(r.cfg.CPUPerOp)
 	if err := r.prepare(sig); err != nil {
 		return 0, false, err
@@ -584,18 +593,6 @@ func (r *RHIK) Delete(sig index.Sig) (uint64, bool, error) {
 func (r *RHIK) Exist(sig index.Sig) (bool, error) {
 	_, ok, err := r.Get(sig)
 	return ok, err
-}
-
-// SharedLookupReady implements index.SharedReader: a lookup for sig can
-// run under the shard read lock when no migration is in flight, no
-// deferred write-back error is pending, and the bucket's record table is
-// DRAM-resident. The check is pure — it charges no simulated time and
-// touches no counters — so a false answer costs nothing before the shard
-// falls back to the exclusive path. Once true, Get's only mutations
-// are atomics: the cache hit counter and the entry's CLOCK reference bit
-// (eviction cannot intervene, because only exclusive writers evict).
-func (r *RHIK) SharedLookupReady(sig index.Sig) bool {
-	return r.mig == nil && r.ioErr == nil && r.cache.Contains(r.bucketOf(sig))
 }
 
 // OptProbe is the result of a lock-free index probe. The RP/Found pair
@@ -666,7 +663,7 @@ func (r *RHIK) RevalidateOptimistic(p OptProbe) bool {
 // validated, against the cache generation the probe actually read. Call
 // exactly once per successful optimistic operation.
 func (r *RHIK) CommitOptimistic(p OptProbe) {
-	p.cache.TouchHit(p.ref.h)
+	p.cache.TouchHit(p.ref)
 }
 
 // OptimisticLookupCost is the simulated CPU charge for one optimistic
@@ -678,6 +675,8 @@ func (r *RHIK) OptimisticLookupCost() sim.Duration { return r.cfg.CPUPerOp }
 // An in-flight incremental migration is drained first so the persisted
 // state is single-generation.
 func (r *RHIK) Flush() error {
+	r.enter()
+	defer r.exit()
 	if err := r.drainMigration(); err != nil {
 		return err
 	}
@@ -721,4 +720,8 @@ func (r *RHIK) ResetCacheStats() { r.cache.ResetStats() }
 // ResizeCache implements index.CacheResizer, adjusting the DRAM budget
 // for cached pages at runtime (dirty entries evicted by a shrink are
 // written back through the usual path).
-func (r *RHIK) ResizeCache(budget int64) { r.cache.Resize(budget) }
+func (r *RHIK) ResizeCache(budget int64) {
+	r.enter()
+	defer r.exit()
+	r.cache.Resize(budget)
+}

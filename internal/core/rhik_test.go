@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -536,77 +537,51 @@ func TestDirectoryDRAMFootprintSmall(t *testing.T) {
 	}
 }
 
-// gcEnv is a memEnv whose AppendPage first does what the device's does
-// when the index log needs a block and free blocks are at low water:
-// run GC, whose relocations look keys up in the index. One level of
-// that is enough to nest a second write-back inside the first.
-type gcEnv struct {
+// reentrantEnv is a memEnv whose AppendPage calls back into the index
+// it serves, as an Env that ran garbage collection inside a write-back
+// would: GC looks up the key of every pair it finds.
+type reentrantEnv struct {
 	*memEnv
-	gc     func() // re-enters the index; nil outside the churn phase
-	depth  int
-	nested int // write-backs that ran inside another one's AppendPage
+	reenter func()
 }
 
-func (e *gcEnv) AppendPage(data []byte) (nand.PPA, error) {
-	e.depth++
-	defer func() { e.depth-- }()
-	if e.depth > 1 {
-		e.nested++
-	} else if e.gc != nil {
-		e.gc()
+func (e *reentrantEnv) AppendPage(data []byte) (nand.PPA, error) {
+	if e.reenter != nil {
+		e.reenter()
 	}
 	return e.memEnv.AppendPage(data)
 }
 
+// TestWriteBackNestedInsideWriteBack: a write-back runs in the middle of
+// an index operation — here an insert whose page-in evicts a dirty table
+// — so an Env that re-enters the index from AppendPage must make the
+// index panic rather than let a nested lookup evict tables the insert
+// still holds.
 func TestWriteBackNestedInsideWriteBack(t *testing.T) {
-	// Sixteen buckets behind an eight-table cache, the writer walking the
-	// buckets round-robin so every insert misses and every resident table
-	// is dirty. Paging a table in evicts a dirty victim, whose AppendPage
-	// re-enters the index for a non-resident bucket, which evicts and
-	// writes back a second dirty table before the first one's page image
-	// has been programmed. Both images must land intact.
-	const buckets, perBucket, tableBytes = 16, 100, 240 * hopscotch.SlotSize
-	env := &gcEnv{memEnv: newMemEnv()}
-	r, err := New(Config{PageSize: 4096, AnticipatedKeys: buckets * 240, CacheBudget: 8 * tableBytes}, env)
+	env := &reentrantEnv{memEnv: newMemEnv()}
+	r, err := New(Config{PageSize: 1024, AnticipatedKeys: 16 * 60, CacheBudget: 1}, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.DirEntries() != buckets {
-		t.Fatalf("D = %d, want %d", r.DirEntries(), buckets)
+	if _, _, err := r.Insert(sig64(0), 1); err != nil {
+		t.Fatal(err)
 	}
-	want := make(map[uint64]uint64)
-	put := func(lo, rp uint64) {
-		t.Helper()
-		if _, _, err := r.Insert(sig64(lo), rp); err != nil {
-			t.Fatalf("Insert(%d): %v", lo, err)
+	nested := 0
+	env.reenter = func() {
+		nested++
+		r.Lookup(sig64(2))
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "re-entered") || nested != 1 {
+			t.Fatalf("after %d re-entries, recovered %q; want one re-entry and its panic", nested, msg)
 		}
-		want[lo] = rp
-	}
-	for lo := uint64(0); lo < buckets*perBucket; lo++ {
-		put(lo, lo+1)
-	}
-
-	var next uint64
-	env.gc = func() {
-		for ; r.cache.Contains(next % buckets); next++ {
+		if r.busy {
+			t.Fatal("the panic left the index marked busy")
 		}
-		if _, ok, err := r.Lookup(sig64(next % buckets)); err != nil || !ok {
-			t.Fatalf("GC lookup in bucket %d = (%v, %v)", next%buckets, ok, err)
-		}
-	}
-	for i := uint64(0); i < 4000; i++ {
-		put(i%(buckets*perBucket), 1_000_000+i)
-	}
-	env.gc = nil
-	if env.nested == 0 {
-		t.Fatal("no write-back ever nested inside another; the test exercises nothing")
-	}
-
-	for lo, rp := range want {
-		if got, ok, err := r.Lookup(sig64(lo)); err != nil || !ok || got != rp {
-			t.Fatalf("after %d nested write-backs: Lookup(%d) = (%d, %v, %v), want %d", env.nested, lo, got, ok, err, rp)
-		}
-	}
+	}()
+	r.Insert(sig64(1), 2) // bucket 1: evicts bucket 0's dirty table
+	t.Fatal("a write-back that re-entered the index did not panic")
 }
 
 // TestGetReadMissRule pins what a read-only Get does when the bucket's

@@ -108,6 +108,8 @@ func (r *RHIK) Owner(p nand.PPA) (uint64, bool) {
 // the rest load through the cache, charging enumeration's flash reads
 // to the simulated timeline like any other index access.
 func (r *RHIK) RangeRecords(f func(lo, hi, rp uint64) bool) error {
+	r.enter()
+	defer r.exit()
 	if r.mig != nil {
 		if err := r.drainMigration(); err != nil {
 			return err
@@ -143,6 +145,8 @@ func (r *RHIK) RangeRecords(f func(lo, hi, rp uint64) bool) error {
 // records whose stored signature carries low, not the bucket's other
 // prefix groups (§VI).
 func (r *RHIK) PrefixRecords(low uint32) ([]uint64, error) {
+	r.enter()
+	defer r.exit()
 	bucket := uint64(low) & uint64(len(r.g().dirs)-1)
 	if r.mig != nil {
 		if oldB := bucket & uint64(r.mig.oldD-1); !r.mig.migrated[oldB] {
@@ -165,6 +169,8 @@ func (r *RHIK) PrefixRecords(low uint32) ([]uint64, error) {
 // generation is relocated by simply migrating its bucket, which
 // invalidates the old copy.
 func (r *RHIK) Relocate(bucket uint64) error {
+	r.enter()
+	defer r.exit()
 	if r.mig != nil && bucket < uint64(r.mig.oldD) && !r.mig.migrated[bucket] {
 		return r.migrateBucket(bucket)
 	}

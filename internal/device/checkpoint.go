@@ -21,6 +21,13 @@ var ckptMagic = [4]byte{'R', 'C', 'K', '1'}
 // persistent copy" of the directory layer. Data written after the last
 // checkpoint remains recoverable through the log scan (see recovery.go).
 func (d *Device) Checkpoint() error {
+	// The index's write-backs, then the checkpoint blob: the directory at
+	// nine bytes an entry plus headers.
+	pages, dirs := d.flushPages()
+	pages += 1 + (ckptHeaderSize+9*dirs)/d.flash.Config().PageSize
+	if err := d.reserve(d.indexBlocks(pages)); err != nil {
+		return err
+	}
 	d.collectRetired()
 	if err := d.FlushData(); err != nil {
 		return err

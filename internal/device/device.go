@@ -304,7 +304,6 @@ type Device struct {
 	pending map[layout.RP]pendingPair // buffered pairs across both writers
 
 	inflight []sim.Time // write-buffer ring of outstanding program completions
-	inGC     bool
 
 	seq       uint64 // global pair sequence number
 	ckptSeq   uint64 // sequence covered by the last checkpoint
@@ -583,8 +582,9 @@ func (d *Device) Close() error {
 // make flash pages transiently unreadable (GC erase, Restart). The
 // sequence is odd while one is in flight; optimistic readers that
 // observe a moved or odd sequence convert flash errors into retries.
-// Re-entrant (collect can run inside Restart's replay via flushOpen),
-// so only the outermost bracket moves the sequence. Writer-side.
+// Re-entrant (collect runs inside Restart's bracket, from the reserve
+// before its closing flush), so only the outermost bracket moves the
+// sequence. Writer-side.
 func (d *Device) beginStructureMutation() {
 	if d.mutDepth == 0 {
 		d.mutSeq.Add(1)

@@ -77,17 +77,14 @@ func (e *idxEnv) MetaReads() int64 { return e.metaReads.Load() }
 
 func (e *idxEnv) Now() sim.Time { return e.now.Load() }
 
-// nextIndexPage reserves the next page of the index-zone log, allocating
-// (and garbage-collecting, when outside GC) a fresh block as needed.
+// nextIndexPage takes the next page of the index-zone log, allocating a
+// fresh block as needed. It never collects: the command's reserve did.
 func (d *Device) nextIndexPage() (nand.PPA, error) {
 	geo := d.flash.Config()
 	if d.idxBlockOpen && d.idxNextPage >= geo.PagesPerBlock {
 		d.idxBlockOpen = false
 	}
 	if !d.idxBlockOpen {
-		if err := d.maybeGC(); err != nil {
-			return 0, err
-		}
 		b, err := d.mgr.Alloc(ftl.ZoneIndex)
 		if err != nil {
 			return 0, ErrDeviceFull

@@ -1,25 +1,31 @@
 package device
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/ftl"
 	"repro/internal/index"
 	"repro/internal/layout"
 	"repro/internal/nand"
+	"repro/internal/sim"
 )
 
-// maybeGC runs garbage collection cycles until the free pool rises above
-// the low-water mark. Allocations made while collecting bypass the
-// trigger (the pool headroom exists for exactly that). Cycles that make
-// no forward progress — relocation consumed as many blocks as the erase
+// reserve is the one place garbage collection runs: at the top of an
+// exclusive command, before the index is touched, so a collection — whose
+// relocations look keys up in the index and insert them again — never
+// runs inside an index operation. It collects until the free pool holds
+// GCLowWater blocks beyond demand, the blocks the command can allocate;
+// a command that allocates nothing collects nothing. The allocators
+// (ensureSlot, nextIndexPage) then only allocate. Cycles that make no
+// forward progress — relocation consumed as many blocks as the erase
 // freed — mean the device is effectively full of live data.
-func (d *Device) maybeGC() error {
-	if d.inGC {
+func (d *Device) reserve(demand int) error {
+	if demand == 0 {
 		return nil
 	}
 	stalled := 0
-	for d.mgr.FreeBlocks() <= d.cfg.GCLowWater {
+	for d.mgr.FreeBlocks() < d.cfg.GCLowWater+demand {
 		before := d.mgr.FreeBlocks()
 		if err := d.collect(); err != nil {
 			return err
@@ -34,6 +40,52 @@ func (d *Device) maybeGC() error {
 		}
 	}
 	return nil
+}
+
+// reserveRead is reserve for a command that stores nothing of its own: it
+// allocates only to write back index pages it evicts, so a device too
+// full to collect still serves it, on the low-water headroom.
+func (d *Device) reserveRead(indexPages int) error {
+	if err := d.reserve(d.indexBlocks(indexPages)); !errors.Is(err, ErrDeviceFull) {
+		return err
+	}
+	return nil
+}
+
+// indexBlocks is the number of fresh blocks the index log takes to append
+// pages more pages, after what is left of its open block.
+func (d *Device) indexBlocks(pages int) int {
+	ppb := d.flash.Config().PagesPerBlock
+	if d.idxBlockOpen {
+		pages -= ppb - d.idxNextPage
+	}
+	return max(0, (pages+ppb-1)/ppb)
+}
+
+// A point command — one key's Store, Delete, Retrieve or Exist — can
+// write back one index page: the dirty table its page-in evicts. The
+// whole-index operations below are sized from the directory size D and
+// the number of tables the index cache keeps. (The baselines' point
+// commands can append a few pages more — a multi-level lookup pages in
+// one table a level, an LSM insert can flush its memtable — which the
+// low-water headroom absorbs.)
+
+// cachedTables is how many index pages the cache keeps.
+func (d *Device) cachedTables() int {
+	return max(1, int(d.cfg.CacheBudget/int64(d.flash.Config().PageSize)))
+}
+
+// flushPages bounds the index pages a Flush or a whole-index enumeration
+// can write back — every table dirty in the cache, and with incremental
+// resizing each of the up to D tables draining a migration creates — and
+// reports D.
+func (d *Device) flushPages() (pages, dirs int) {
+	dirs = d.IndexStats().DirEntries
+	pages = min(dirs, d.cachedTables())
+	if d.cfg.IncrementalResize {
+		pages += dirs
+	}
+	return pages, dirs
 }
 
 // activeBlocks lists the blocks GC must never pick: open log heads
@@ -106,8 +158,6 @@ func (d *Device) collect() error {
 		return ErrDeviceFull
 	}
 
-	d.inGC = true
-	defer func() { d.inGC = false }()
 	// The erase below can yank pages out from under an in-flight
 	// optimistic reader; the structure-mutation bracket turns any flash
 	// error it sees into a retry.
@@ -185,39 +235,30 @@ func (d *Device) collectKV(victim nand.BlockID) error {
 			if !ok || cur != uint64(rp) {
 				continue // stale version
 			}
-			value := inline
+			// Copy key and value out of the flash-owned buffers before they
+			// are erased; an extent's reassembly already is a private copy.
+			var value []byte
 			if hdr.ValueLen > len(inline) {
-				// Reassemble the extent from this block's continuations.
-				full := make([]byte, 0, hdr.ValueLen)
-				full = append(full, inline...)
-				readAt := d.env.now.Load()
-				for i := 1; len(full) < hdr.ValueLen; i++ {
-					cont, _, cd, err := d.flash.Read(readAt, ppa+nand.PPA(i))
-					if err != nil {
-						return fmt.Errorf("device: gc extent read: %w", err)
-					}
-					readAt = cd
-					full = append(full, cont...)
+				var done sim.Time
+				if value, done, err = d.readExtent(d.env.now.Load(), ppa, inline, hdr.ValueLen); err != nil {
+					return fmt.Errorf("device: gc extent read: %w", err)
 				}
-				d.env.now.AdvanceTo(readAt)
-				if len(full) > hdr.ValueLen {
-					full = full[:hdr.ValueLen]
-				}
-				value = full
+				d.env.now.AdvanceTo(done)
+			} else {
+				value = append([]byte(nil), inline...)
 			}
 
 			d.seq++
-			// Copy key/value out of the flash-owned buffers before they
-			// are erased. The relocated copy is re-stamped with the OPEN
-			// epoch, not the original: snapshot-referenced blocks are never
-			// victims, so no frozen view points here, and a too-new stamp
-			// only makes a snapshot's fast path fall back to its (correct)
-			// frozen view. Preserving originals would break the page-local
-			// monotone delta encoding.
+			// The relocated copy is re-stamped with the OPEN epoch, not the
+			// original: snapshot-referenced blocks are never victims, so no
+			// frozen view points here, and a too-new stamp only makes a
+			// snapshot's fast path fall back to its (correct) frozen view.
+			// Preserving originals would break the page-local monotone
+			// delta encoding.
 			p := layout.Pair{
 				Sig:   sig.Lo,
 				Key:   append([]byte(nil), key...),
-				Value: append([]byte(nil), value...),
+				Value: value,
 				Seq:   d.seq,
 				Epoch: d.wepoch.Load() + 1,
 			}

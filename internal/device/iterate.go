@@ -47,6 +47,11 @@ func (d *Device) Iterate(submitAt sim.Time, prefix []byte, withValues bool) ([]I
 	}
 	d.env.now.AdvanceTo(submitAt)
 	d.env.ChargeCPU(d.cfg.CmdCPU)
+	// RHIK reads one bucket, but the baselines sweep their whole index.
+	pages, _ := d.flushPages()
+	if err := d.reserveRead(pages); err != nil {
+		return nil, d.env.now.Load(), err
+	}
 
 	rps, err := sc.PrefixRecords(d.scheme.PrefixLow(prefix))
 	if err != nil {

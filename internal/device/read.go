@@ -142,6 +142,9 @@ func (d *Device) Retrieve(submitAt sim.Time, key []byte) ([]byte, sim.Time, erro
 	if d.closed.Load() {
 		return nil, d.env.now.Load(), ErrClosed
 	}
+	if err := d.reserveRead(1); err != nil {
+		return nil, d.env.now.Load(), err
+	}
 	d.collectRetired()
 	v, done, err := d.retrieve(submitAt, key, nil, d.scheme.Compute(key))
 	if err != nil {
@@ -156,6 +159,9 @@ func (d *Device) Retrieve(submitAt sim.Time, key []byte) ([]byte, sim.Time, erro
 func (d *Device) RetrieveAppend(submitAt sim.Time, key, dst []byte) ([]byte, sim.Time, error) {
 	if d.closed.Load() {
 		return dst, d.env.now.Load(), ErrClosed
+	}
+	if err := d.reserveRead(1); err != nil {
+		return dst, d.env.now.Load(), err
 	}
 	d.collectRetired()
 	return d.retrieve(submitAt, key, dst, d.scheme.Compute(key))
@@ -210,6 +216,9 @@ func (d *Device) exist(submitAt sim.Time, key []byte, sig index.Sig) (bool, sim.
 func (d *Device) Exist(submitAt sim.Time, key []byte) (bool, sim.Time, error) {
 	if d.closed.Load() {
 		return false, d.env.now.Load(), ErrClosed
+	}
+	if err := d.reserveRead(1); err != nil {
+		return false, d.env.now.Load(), err
 	}
 	d.collectRetired()
 	return d.exist(submitAt, key, d.scheme.Compute(key))

@@ -48,11 +48,9 @@ func (d *Device) Restart() error {
 	d.ckptPinned = make(map[nand.PPA]bool)
 	d.deferredInval = nil
 
-	// Garbage collection must not run while accounting is incomplete;
-	// allocations draw on the pool headroom directly.
-	d.inGC = true
-	defer func() { d.inGC = false }()
-
+	// Garbage collection runs only from reserve, which nothing below calls
+	// until the accounting is complete: until then, allocations draw on
+	// the pool headroom directly.
 	idx, err := d.buildIndex()
 	if err != nil {
 		return err
@@ -265,9 +263,12 @@ func (d *Device) Restart() error {
 		}
 	}
 
-	// Accounting is complete: GC may run again. Persist the rebuilt
-	// index state and shrink the cache back to its configured budget.
-	d.inGC = false
+	// Accounting is complete: GC may run again. Persist the rebuilt index
+	// state — the replay's cache held every table, so every one can be
+	// dirty — and shrink the cache back to its configured budget.
+	if err := d.reserve(d.indexBlocks(d.IndexStats().DirEntries)); err != nil {
+		return err
+	}
 	if err := d.idx.Flush(); err != nil {
 		return err
 	}

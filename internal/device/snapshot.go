@@ -77,6 +77,10 @@ func (d *Device) OpenSnapshot() (*Snapshot, error) {
 	if !ok {
 		return nil, ErrNoSnapshot
 	}
+	pages, _ := d.flushPages()
+	if err := d.reserveRead(pages); err != nil {
+		return nil, err
+	}
 	// Every frozen record pointer must reference programmed flash — a
 	// volatile open-page buffer would not survive the capture.
 	if err := d.FlushData(); err != nil {

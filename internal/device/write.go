@@ -45,7 +45,8 @@ func (d *Device) newLogWriter(name string) logWriter {
 }
 
 // ensureSlot guarantees stripe slot si has an open block with at least
-// `pages` programmable pages left, sealing and allocating as needed.
+// `pages` programmable pages left, sealing and allocating as needed. It
+// never collects: the command's reserve did.
 func (d *Device) ensureSlot(w *logWriter, si, pages int) error {
 	geo := d.flash.Config()
 	if pages > geo.PagesPerBlock {
@@ -57,9 +58,6 @@ func (d *Device) ensureSlot(w *logWriter, si, pages int) error {
 	}
 	if s.open {
 		return nil
-	}
-	if err := d.maybeGC(); err != nil {
-		return err
 	}
 	b, err := d.mgr.Alloc(ftl.ZoneKV)
 	if err != nil {
@@ -241,6 +239,11 @@ func (d *Device) Store(submitAt sim.Time, key, value []byte) (sim.Time, error) {
 	d.env.now.AdvanceTo(arrive)
 	start := submitAt
 	d.env.ChargeCPU(d.cfg.CmdCPU)
+	// A new block for the pair (one extent never spans two) and one index
+	// write-back.
+	if err := d.reserve(1 + d.indexBlocks(1)); err != nil {
+		return d.env.now.Load(), err
+	}
 	metaBefore := d.env.metaReads.Load()
 
 	sig := d.scheme.Compute(key)
@@ -320,6 +323,10 @@ func (d *Device) Delete(submitAt sim.Time, key []byte) (sim.Time, error) {
 	arrive := d.hostXfer(submitAt, len(key))
 	d.env.now.AdvanceTo(arrive)
 	d.env.ChargeCPU(d.cfg.CmdCPU)
+	// A new block for the tombstone and one index write-back.
+	if err := d.reserve(1 + d.indexBlocks(1)); err != nil {
+		return d.env.now.Load(), err
+	}
 	metaBefore := d.env.metaReads.Load()
 
 	sig := d.scheme.Compute(key)
@@ -396,11 +403,9 @@ func (d *Device) insertReconfiguring(sig index.Sig, rp uint64) error {
 			d.idx.Len()*minSplitFill < cp.Capacity() {
 			break
 		}
-		haltStart := d.env.now.Load()
-		if err := rz.Resize(); err != nil {
+		if err := d.resize(rz); err != nil {
 			return err
 		}
-		d.stats.resizeHalt.Add(int64(d.env.now.Load().Sub(haltStart)))
 		_, _, err := d.idx.Insert(sig, rp)
 		if err == nil {
 			return nil
@@ -412,6 +417,25 @@ func (d *Device) insertReconfiguring(sig index.Sig, rp uint64) error {
 	return index.ErrCollision
 }
 
+// resize doubles the index with the submission queue halted. A
+// stop-the-world doubling creates up to 2D tables and writes back all
+// but those the cache keeps; an incremental one only swaps the directory,
+// and its migration steps ride on later commands.
+func (d *Device) resize(rz index.Resizer) error {
+	if !d.cfg.IncrementalResize {
+		pages := 2*d.IndexStats().DirEntries - d.cachedTables()
+		if err := d.reserve(d.indexBlocks(pages)); err != nil {
+			return err
+		}
+	}
+	haltStart := d.env.now.Load()
+	if err := rz.Resize(); err != nil {
+		return err
+	}
+	d.stats.resizeHalt.Add(int64(d.env.now.Load().Sub(haltStart)))
+	return nil
+}
+
 // afterMutation runs post-command maintenance: RHIK re-configuration
 // (with the submission queue halted — the firmware timeline simply
 // advances through the migration), epoch-reclamation collection, and
@@ -420,11 +444,9 @@ func (d *Device) afterMutation() error {
 	d.mutsSince++
 	d.collectRetired()
 	if rz, ok := d.idx.(index.Resizer); ok && !d.cfg.DisableAutoResize && rz.NeedsResize() {
-		haltStart := d.env.now.Load()
-		if err := rz.Resize(); err != nil {
+		if err := d.resize(rz); err != nil {
 			return err
 		}
-		d.stats.resizeHalt.Add(int64(d.env.now.Load().Sub(haltStart)))
 	}
 	if d.cfg.CheckpointEveryOps > 0 && d.mutsSince >= d.cfg.CheckpointEveryOps {
 		return d.Checkpoint()

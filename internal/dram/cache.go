@@ -36,17 +36,27 @@ func (s Stats) MissRatio() float64 {
 	return float64(s.Misses) / float64(total)
 }
 
-type entry[V any] struct {
-	key   uint64
-	value V
-	size  int64
-	idx   int         // position in the clock ring, or idxUnlinked/idxPooled
-	ref   atomic.Bool // second-chance bit, set on every hit
+// Node is one cache entry's bookkeeping: its key, its size, its slot in
+// the CLOCK ring and its reference bit. A cached value embeds it, so the
+// value and its ring entry are one object with one lifetime: the owner
+// allocates and pools it, and the cache only links and unlinks it. A
+// value is in at most one Cache at a time, and its owner may reuse it once
+// the cache has let go of it — evicted, removed, or flushed.
+type Node struct {
+	key  uint64
+	size int64
+	idx  int         // position in the clock ring while cached
+	ref  atomic.Bool // second-chance bit, set on every hit
 }
+
+func (n *Node) node() *Node { return n }
+
+// Value is what a Cache holds: a pointer to a type that embeds Node.
+type Value interface{ node() *Node }
 
 // EvictFunc is invoked when an entry is evicted to make room. Write-back
 // owners flush dirty state to flash here.
-type EvictFunc[V any] func(key uint64, value V, size int64)
+type EvictFunc[V Value] func(key uint64, value V, size int64)
 
 // Cache is a CLOCK cache bounded by a byte budget rather than an entry
 // count. The value type is fixed at construction so hits return without
@@ -54,17 +64,16 @@ type EvictFunc[V any] func(key uint64, value V, size int64)
 // cached (and evicted on the next insert), so a minimally-provisioned
 // cache remains functional.
 //
-// Concurrency: any number of goroutines may call Get/Contains/Stats/
-// ResetStats concurrently with each other. Mutating calls (Put, Remove,
-// Flush, Resize) must be exclusive with everything else — in the device
-// they only run under the shard write lock.
-type Cache[V any] struct {
+// Concurrency: any number of goroutines may call Get/Contains/Peek/
+// TouchHit/Stats/ResetStats concurrently with each other. Mutating calls
+// (Put, Remove, Flush, Resize) must be exclusive with everything else — in
+// the device they only run under the shard write lock.
+type Cache[V Value] struct {
 	budget  int64
 	used    int64
-	ring    []*entry[V] // clock ring; hand scans for a clear ref bit
+	ring    []V // clock ring; hand scans for a clear ref bit
 	hand    int
-	byKey   map[uint64]*entry[V]
-	free    []*entry[V] // unlinked nodes handed back through Recycle
+	byKey   map[uint64]V
 	onEvict EvictFunc[V]
 
 	hits      atomic.Int64
@@ -74,13 +83,10 @@ type Cache[V any] struct {
 }
 
 // New returns a cache with the given byte budget. onEvict may be nil.
-func New[V any](budget int64, onEvict EvictFunc[V]) *Cache[V] {
-	if budget < 0 {
-		budget = 0
-	}
+func New[V Value](budget int64, onEvict EvictFunc[V]) *Cache[V] {
 	return &Cache[V]{
-		budget:  budget,
-		byKey:   make(map[uint64]*entry[V]),
+		budget:  max(budget, 0),
+		byKey:   make(map[uint64]V),
 		onEvict: onEvict,
 	}
 }
@@ -88,15 +94,14 @@ func New[V any](budget int64, onEvict EvictFunc[V]) *Cache[V] {
 // Get returns the cached value for key, setting its reference bit.
 // Every call counts as a hit or a miss. Safe for concurrent readers.
 func (c *Cache[V]) Get(key uint64) (V, bool) {
-	e, ok := c.byKey[key]
+	v, ok := c.byKey[key]
 	if !ok {
 		c.misses.Add(1)
-		var zero V
-		return zero, false
+		return v, false
 	}
 	c.hits.Add(1)
-	e.ref.Store(true)
-	return e.value, true
+	v.node().ref.Store(true)
+	return v, true
 }
 
 // Contains reports whether key is cached without affecting recency or
@@ -111,108 +116,45 @@ func (c *Cache[V]) Contains(key uint64) bool {
 // decide whether a lookup may run under the shard read lock. Safe for
 // concurrent readers.
 func (c *Cache[V]) Peek(key uint64) (V, bool) {
-	e, ok := c.byKey[key]
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	return e.value, true
-}
-
-// Handle is a stable reference to a cache entry, captured under the
-// writer lock (Handle method) and redeemable later from lock-free
-// readers via TouchHit. It stays valid across evictions in the weak
-// sense optimistic readers need: touching an already-evicted entry
-// flips a ref bit nobody consults, which is harmless.
-type Handle[V any] struct {
-	e *entry[V]
-}
-
-// Handle captures a touch handle for key. Writer-side (it reads the key
-// map); callers publish the handle through their own synchronized
-// structure for readers to redeem.
-func (c *Cache[V]) Handle(key uint64) (Handle[V], bool) {
-	e, ok := c.byKey[key]
-	if !ok {
-		return Handle[V]{}, false
-	}
-	return Handle[V]{e: e}, true
+	v, ok := c.byKey[key]
+	return v, ok
 }
 
 // TouchHit applies the exact side effects of a successful Get — one hit
-// count, reference bit set — through a previously captured Handle,
-// without reading the key map. Safe from any goroutine; optimistic
-// readers call it after their version check passes so CLOCK recency and
-// hit accounting match the locked path.
-func (c *Cache[V]) TouchHit(h Handle[V]) {
+// count, reference bit set — to a value found without the key map. Safe
+// from any goroutine; optimistic readers call it after their version
+// check passes so CLOCK recency and hit accounting match the locked path.
+// Touching a value that has since been evicted flips a bit nobody
+// consults, which is harmless.
+func (c *Cache[V]) TouchHit(v V) {
 	c.hits.Add(1)
-	h.e.ref.Store(true)
+	v.node().ref.Store(true)
 }
 
 // Put inserts or updates key with the given value and size, evicting
 // other entries as needed to respect the budget: the caller goes on to
 // use what it just cached, so the sweep never claims the touched entry
 // itself, whatever the hand and concurrent readers did to its reference
-// bit.
-func (c *Cache[V]) Put(key uint64, value V, size int64) {
-	if size < 0 {
-		size = 0
-	}
-	e, ok := c.byKey[key]
-	if ok {
-		c.used += size - e.size
-		e.value = value
-		e.size = size
-		e.ref.Store(true)
+// bit. A value that replaces another under the same key takes over its
+// ring slot; the replaced one is dropped without the eviction callback.
+func (c *Cache[V]) Put(key uint64, v V, size int64) {
+	n := v.node()
+	if old, ok := c.byKey[key]; ok {
+		o := old.node()
+		c.used -= o.size
+		n.idx = o.idx
+		c.ring[n.idx] = v
 	} else {
-		e = c.newEntry()
-		e.key, e.value, e.size, e.idx = key, value, size, len(c.ring)
-		e.ref.Store(true)
-		c.ring = append(c.ring, e)
-		c.byKey[key] = e
-		c.used += size
+		n.idx = len(c.ring)
+		c.ring = append(c.ring, v)
 		c.inserts.Add(1)
 	}
-	c.evictToBudget(e)
+	c.byKey[key] = v
+	n.key, n.size = key, max(size, 0)
+	n.ref.Store(true)
+	c.used += n.size
+	c.evictToBudget(n)
 }
-
-func (c *Cache[V]) newEntry() *entry[V] {
-	if n := len(c.free); n > 0 {
-		e := c.free[n-1]
-		c.free[n-1] = nil
-		c.free = c.free[:n-1]
-		return e
-	}
-	return new(entry[V])
-}
-
-// Recycle hands the node behind h back for a later Put to reuse, so a
-// cache that evicts on every miss stops allocating one node per miss.
-// The entry must already be evicted or removed, and the caller must
-// know that no reader can still redeem h through TouchHit: the node's
-// key and reference bit are about to describe some other entry. The
-// zero Handle and handles of still-cached entries are ignored; a handle
-// from another Cache[V] is fine, since a node belongs to no cache once
-// unlinked. Writer-side only.
-func (c *Cache[V]) Recycle(h Handle[V]) {
-	if h.e == nil || h.e.idx != idxUnlinked || len(c.free) >= maxFreeEntries {
-		return
-	}
-	var zero V
-	h.e.value = zero
-	h.e.idx = idxPooled
-	c.free = append(c.free, h.e)
-}
-
-// An entry's idx is its ring position while cached, then one of these.
-const (
-	idxUnlinked = -1 // evicted or removed; Handles may still be redeemed
-	idxPooled   = -2 // handed back through Recycle
-)
-
-// maxFreeEntries bounds the recycled-node list; owners that evict one
-// entry per insert never hold more than a few.
-const maxFreeEntries = 64
 
 // Victim reports the value a Put of a new key of the given size would
 // evict first, and false when that Put fits the budget and evicts
@@ -224,7 +166,7 @@ func (c *Cache[V]) Victim(size int64) (V, bool) {
 		var zero V
 		return zero, false
 	}
-	return c.peekVictim().value, true
+	return c.peekVictim(), true
 }
 
 // peekVictim returns the entry the next eviction would claim — the first
@@ -232,14 +174,14 @@ func (c *Cache[V]) Victim(size int64) (V, bool) {
 // moving the hand. Falls back to the hand entry when every ref bit is
 // set (the real eviction would clear them and come back around). The
 // ring must not be empty.
-func (c *Cache[V]) peekVictim() *entry[V] {
+func (c *Cache[V]) peekVictim() V {
 	n := len(c.ring)
 	h := c.hand
 	for i := 0; i < n; i++ {
 		if h >= n {
 			h = 0
 		}
-		if !c.ring[h].ref.Load() {
+		if !c.ring[h].node().ref.Load() {
 			return c.ring[h]
 		}
 		h++
@@ -253,7 +195,7 @@ func (c *Cache[V]) peekVictim() *entry[V] {
 // evictToBudget removes entries until the budget holds, always keeping at
 // least one entry so an over-budget singleton still functions, and never
 // removing keep (nil: no entry is exempt).
-func (c *Cache[V]) evictToBudget(keep *entry[V]) {
+func (c *Cache[V]) evictToBudget(keep *Node) {
 	for c.used > c.budget && len(c.ring) > 1 {
 		c.evictOne(keep)
 	}
@@ -263,64 +205,64 @@ func (c *Cache[V]) evictToBudget(keep *entry[V]) {
 // whose reference bit is clear, granting each referenced entry a second
 // chance along the way, and evicts it. The ring holds at least two
 // entries, so it terminates within two sweeps: the first pass clears bits.
-func (c *Cache[V]) evictOne(keep *entry[V]) {
+func (c *Cache[V]) evictOne(keep *Node) {
 	for {
 		if c.hand >= len(c.ring) {
 			c.hand = 0
 		}
-		e := c.ring[c.hand]
-		if e.ref.Swap(false) || e == keep {
+		v := c.ring[c.hand]
+		n := v.node()
+		if n.ref.Swap(false) || n == keep {
 			c.hand++
 			continue
 		}
-		c.unlink(e)
-		c.evictions.Add(1)
-		if c.onEvict != nil {
-			c.onEvict(e.key, e.value, e.size)
-		}
+		c.evict(v)
 		return
 	}
 }
 
-// unlink removes e from the ring (swap-remove; the displaced tail entry
-// inherits e's slot) and the key map, and releases its budget share.
-func (c *Cache[V]) unlink(e *entry[V]) {
+// evict unlinks v, counts the eviction and hands v to the callback.
+func (c *Cache[V]) evict(v V) {
+	n := v.node()
+	c.unlink(n)
+	c.evictions.Add(1)
+	if c.onEvict != nil {
+		c.onEvict(n.key, v, n.size)
+	}
+}
+
+// unlink removes n from the ring (swap-remove; the displaced tail entry
+// inherits n's slot) and the key map, and releases its budget share.
+func (c *Cache[V]) unlink(n *Node) {
 	last := len(c.ring) - 1
 	tail := c.ring[last]
-	c.ring[e.idx] = tail
-	tail.idx = e.idx
-	c.ring[last] = nil
+	c.ring[n.idx] = tail
+	tail.node().idx = n.idx
+	var zero V
+	c.ring[last] = zero
 	c.ring = c.ring[:last]
 	if c.hand > last {
 		c.hand = 0
 	}
-	delete(c.byKey, e.key)
-	c.used -= e.size
-	e.idx = idxUnlinked
+	delete(c.byKey, n.key)
+	c.used -= n.size
 }
 
 // Remove drops key from the cache without invoking the eviction callback
 // (the caller already owns the value). It returns the removed value.
 func (c *Cache[V]) Remove(key uint64) (V, bool) {
-	e, ok := c.byKey[key]
-	if !ok {
-		var zero V
-		return zero, false
+	v, ok := c.byKey[key]
+	if ok {
+		c.unlink(v.node())
 	}
-	c.unlink(e)
-	return e.value, true
+	return v, ok
 }
 
 // Flush evicts every entry in ring order, invoking the eviction callback
 // for each. Used at checkpoints to force dirty state to flash.
 func (c *Cache[V]) Flush() {
-	snap := append([]*entry[V](nil), c.ring...)
-	for _, e := range snap {
-		c.unlink(e)
-		c.evictions.Add(1)
-		if c.onEvict != nil {
-			c.onEvict(e.key, e.value, e.size)
-		}
+	for _, v := range append([]V(nil), c.ring...) {
+		c.evict(v)
 	}
 	// The swap-remove unlinks only reset the hand when it fell off the
 	// shrinking ring's end, so it could survive Flush pointing mid-ring —
@@ -333,8 +275,8 @@ func (c *Cache[V]) Flush() {
 // order is the clock-ring order, which is not a recency order. It does
 // not affect recency. f must not mutate the cache.
 func (c *Cache[V]) Range(f func(key uint64, value V, size int64) bool) {
-	for _, e := range c.ring {
-		if !f(e.key, e.value, e.size) {
+	for _, v := range c.ring {
+		if n := v.node(); !f(n.key, v, n.size) {
 			return
 		}
 	}
@@ -342,10 +284,7 @@ func (c *Cache[V]) Range(f func(key uint64, value V, size int64) bool) {
 
 // Resize changes the byte budget, evicting as needed.
 func (c *Cache[V]) Resize(budget int64) {
-	if budget < 0 {
-		budget = 0
-	}
-	c.budget = budget
+	c.budget = max(budget, 0)
 	c.evictToBudget(nil)
 }
 

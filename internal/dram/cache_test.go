@@ -7,14 +7,22 @@ import (
 	"testing/quick"
 )
 
+// item is the tests' cached value: a payload beside the embedded node.
+type item struct {
+	Node
+	v int
+}
+
+func it(v int) *item { return &item{v: v} }
+
 func TestGetMissAndHit(t *testing.T) {
-	c := New[string](100, nil)
+	c := New[*item](100, nil)
 	if _, ok := c.Get(1); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put(1, "a", 10)
+	c.Put(1, it(7), 10)
 	v, ok := c.Get(1)
-	if !ok || v != "a" {
+	if !ok || v.v != 7 {
 		t.Fatalf("Get = (%v,%v)", v, ok)
 	}
 	s := c.Stats()
@@ -30,28 +38,28 @@ func TestClockSecondChance(t *testing.T) {
 	// CLOCK grants referenced entries a second chance instead of keeping
 	// an exact LRU order. Walk the hand through a known schedule.
 	var evicted []uint64
-	c := New[int](30, func(key uint64, _ int, _ int64) { evicted = append(evicted, key) })
-	c.Put(1, 0, 10)
-	c.Put(2, 0, 10)
-	c.Put(3, 0, 10)
+	c := New(30, func(key uint64, _ *item, _ int64) { evicted = append(evicted, key) })
+	c.Put(1, it(0), 10)
+	c.Put(2, it(0), 10)
+	c.Put(3, it(0), 10)
 	// All bits are set (fresh inserts), so the over-budget insert sweeps
 	// once clearing 1..4, wraps, and evicts 1 — the first entry it
 	// revisits with a clear bit. The tail (4) swaps into 1's slot.
-	c.Put(4, 0, 10)
+	c.Put(4, it(0), 10)
 	if len(evicted) != 1 || evicted[0] != 1 {
 		t.Fatalf("evicted %v, want [1]", evicted)
 	}
 	// 4's bit was cleared by that sweep and the hand sits on its slot, so
 	// the next eviction takes 4 immediately.
 	c.Get(2)
-	c.Put(5, 0, 10)
+	c.Put(5, it(0), 10)
 	if len(evicted) != 2 || evicted[1] != 4 {
 		t.Fatalf("evicted %v, want [1 4]", evicted)
 	}
 	// Second chance proper: 2 was just touched (bit set), 3 was not. The
 	// hand passes 5 (fresh) and 2 (touched), clearing their bits, and
 	// evicts 3 — the older-but-cold entry — leaving 2 resident.
-	c.Put(6, 0, 10)
+	c.Put(6, it(0), 10)
 	if len(evicted) != 3 || evicted[2] != 3 {
 		t.Fatalf("evicted %v, want [1 4 3]", evicted)
 	}
@@ -61,11 +69,11 @@ func TestClockSecondChance(t *testing.T) {
 }
 
 func TestPeekIsPure(t *testing.T) {
-	c := New[string](100, nil)
-	c.Put(1, "a", 10)
+	c := New[*item](100, nil)
+	c.Put(1, it(7), 10)
 	before := c.Stats()
 	v, ok := c.Peek(1)
-	if !ok || v != "a" {
+	if !ok || v.v != 7 {
 		t.Fatalf("Peek = (%v,%v)", v, ok)
 	}
 	if _, ok := c.Peek(2); ok {
@@ -77,9 +85,9 @@ func TestPeekIsPure(t *testing.T) {
 }
 
 func TestBudgetRespected(t *testing.T) {
-	c := New[struct{}](100, nil)
+	c := New[*item](100, nil)
 	for k := uint64(0); k < 50; k++ {
-		c.Put(k, struct{}{}, 7)
+		c.Put(k, it(0), 7)
 	}
 	if c.Used() > c.Budget() {
 		t.Fatalf("Used %d > Budget %d", c.Used(), c.Budget())
@@ -90,12 +98,12 @@ func TestBudgetRespected(t *testing.T) {
 }
 
 func TestOversizedSingletonStays(t *testing.T) {
-	c := New[string](10, nil)
-	c.Put(1, "big", 100)
+	c := New[*item](10, nil)
+	c.Put(1, it(1), 100)
 	if !c.Contains(1) {
 		t.Fatal("oversized singleton was dropped")
 	}
-	c.Put(2, "next", 5)
+	c.Put(2, it(2), 5)
 	if c.Contains(1) {
 		t.Fatal("oversized entry survived a subsequent insert")
 	}
@@ -105,14 +113,14 @@ func TestOversizedSingletonStays(t *testing.T) {
 }
 
 func TestPutUpdateAdjustsSize(t *testing.T) {
-	c := New[string](100, nil)
-	c.Put(1, "a", 10)
-	c.Put(1, "b", 30)
+	c := New[*item](100, nil)
+	c.Put(1, it(1), 10)
+	c.Put(1, it(2), 30)
 	if c.Used() != 30 || c.Len() != 1 {
 		t.Fatalf("Used=%d Len=%d after update", c.Used(), c.Len())
 	}
 	v, _ := c.Get(1)
-	if v != "b" {
+	if v.v != 2 {
 		t.Fatal("update did not replace value")
 	}
 	if c.Stats().Inserts != 1 {
@@ -122,10 +130,10 @@ func TestPutUpdateAdjustsSize(t *testing.T) {
 
 func TestRemoveSkipsCallback(t *testing.T) {
 	calls := 0
-	c := New[string](100, func(uint64, string, int64) { calls++ })
-	c.Put(1, "a", 10)
+	c := New(100, func(uint64, *item, int64) { calls++ })
+	c.Put(1, it(7), 10)
 	v, ok := c.Remove(1)
-	if !ok || v != "a" {
+	if !ok || v.v != 7 {
 		t.Fatalf("Remove = (%v,%v)", v, ok)
 	}
 	if calls != 0 {
@@ -141,9 +149,9 @@ func TestRemoveSkipsCallback(t *testing.T) {
 
 func TestFlushEvictsAll(t *testing.T) {
 	var evicted []uint64
-	c := New[struct{}](100, func(key uint64, _ struct{}, _ int64) { evicted = append(evicted, key) })
-	c.Put(1, struct{}{}, 10)
-	c.Put(2, struct{}{}, 10)
+	c := New(100, func(key uint64, _ *item, _ int64) { evicted = append(evicted, key) })
+	c.Put(1, it(0), 10)
+	c.Put(2, it(0), 10)
 	c.Flush()
 	if c.Len() != 0 || c.Used() != 0 {
 		t.Fatal("Flush left entries")
@@ -158,9 +166,9 @@ func TestFlushEvictsAll(t *testing.T) {
 }
 
 func TestResizeShrinks(t *testing.T) {
-	c := New[struct{}](100, nil)
+	c := New[*item](100, nil)
 	for k := uint64(0); k < 10; k++ {
-		c.Put(k, struct{}{}, 10)
+		c.Put(k, it(0), 10)
 	}
 	c.Resize(30)
 	if c.Used() > 30 {
@@ -172,12 +180,12 @@ func TestResizeShrinks(t *testing.T) {
 }
 
 func TestRangeVisitsAll(t *testing.T) {
-	c := New[struct{}](100, nil)
-	c.Put(1, struct{}{}, 1)
-	c.Put(2, struct{}{}, 1)
-	c.Put(3, struct{}{}, 1)
+	c := New[*item](100, nil)
+	c.Put(1, it(0), 1)
+	c.Put(2, it(0), 1)
+	c.Put(3, it(0), 1)
 	seen := map[uint64]bool{}
-	c.Range(func(key uint64, _ struct{}, _ int64) bool {
+	c.Range(func(key uint64, _ *item, _ int64) bool {
 		seen[key] = true
 		return true
 	})
@@ -187,12 +195,12 @@ func TestRangeVisitsAll(t *testing.T) {
 }
 
 func TestZeroBudgetCache(t *testing.T) {
-	c := New[struct{}](0, nil)
-	c.Put(1, struct{}{}, 10)
+	c := New[*item](0, nil)
+	c.Put(1, it(0), 10)
 	if !c.Contains(1) {
 		t.Fatal("zero-budget cache must still hold the newest entry")
 	}
-	c.Put(2, struct{}{}, 10)
+	c.Put(2, it(0), 10)
 	if c.Contains(1) {
 		t.Fatal("zero-budget cache held two entries")
 	}
@@ -203,10 +211,10 @@ func TestZeroBudgetCache(t *testing.T) {
 // goroutines over a fixed-resident key set must be data-race-free and
 // must not lose hit counts.
 func TestConcurrentReadersAndStats(t *testing.T) {
-	c := New[int](1<<20, nil)
+	c := New[*item](1<<20, nil)
 	const keys = 64
 	for k := uint64(0); k < keys; k++ {
-		c.Put(k, int(k), 16)
+		c.Put(k, it(int(k)), 16)
 	}
 	c.ResetStats()
 	const readers = 8
@@ -218,7 +226,7 @@ func TestConcurrentReadersAndStats(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < opsPer; i++ {
 				k := (seed + uint64(i)) % keys
-				if v, ok := c.Get(k); !ok || v != int(k) {
+				if v, ok := c.Get(k); !ok || v.v != int(k) {
 					t.Errorf("Get(%d) = (%v,%v)", k, v, ok)
 					return
 				}
@@ -244,9 +252,9 @@ func TestUsedNeverExceedsBudgetProperty(t *testing.T) {
 		Key  uint8
 		Size uint8
 	}) bool {
-		c := New[struct{}](64, nil)
+		c := New[*item](64, nil)
 		for _, op := range ops {
-			c.Put(uint64(op.Key), struct{}{}, int64(op.Size))
+			c.Put(uint64(op.Key), it(0), int64(op.Size))
 			if c.Len() > 1 && c.Used() > c.Budget() {
 				// Multiple entries may never exceed the budget.
 				return false
@@ -267,18 +275,18 @@ func TestAccountingInvariantProperty(t *testing.T) {
 		Key  uint8
 		Size uint8
 	}) bool {
-		c := New[struct{}](128, nil)
+		c := New[*item](128, nil)
 		for _, op := range ops {
 			switch op.Kind % 3 {
 			case 0:
-				c.Put(uint64(op.Key), struct{}{}, int64(op.Size))
+				c.Put(uint64(op.Key), it(0), int64(op.Size))
 			case 1:
 				c.Get(uint64(op.Key))
 			case 2:
 				c.Remove(uint64(op.Key))
 			}
 			var sum int64
-			c.Range(func(_ uint64, _ struct{}, size int64) bool {
+			c.Range(func(_ uint64, _ *item, size int64) bool {
 				sum += size
 				return true
 			})
@@ -305,32 +313,32 @@ func TestAccountingInvariantProperty(t *testing.T) {
 // from that phantom position instead of slot 0. A flushed cache must be
 // indistinguishable from a fresh one, eviction order included.
 func TestFlushResetsClockHand(t *testing.T) {
-	run := func(c *Cache[int]) []uint64 {
+	run := func(c *Cache[*item]) []uint64 {
 		var evicted []uint64
 		// Refill and force a sweep; record who the hand claims first.
-		c.Put(10, 0, 10)
-		c.Put(11, 0, 10)
-		c.Put(12, 0, 10)
+		c.Put(10, it(0), 10)
+		c.Put(11, it(0), 10)
+		c.Put(12, it(0), 10)
 		for _, e := range c.ring {
 			e.ref.Store(false) // all cold: eviction order is pure hand order
 		}
 		saveEvict := c.onEvict
-		c.onEvict = func(key uint64, _ int, _ int64) { evicted = append(evicted, key) }
+		c.onEvict = func(key uint64, _ *item, _ int64) { evicted = append(evicted, key) }
 		c.Resize(10) // down-sweep must evict two entries
 		c.onEvict = saveEvict
 		return evicted
 	}
 
-	fresh := New[int](30, nil)
+	fresh := New[*item](30, nil)
 	want := run(fresh)
 
-	flushed := New[int](30, nil)
+	flushed := New[*item](30, nil)
 	// March the hand mid-ring: three inserts then an over-budget fourth
 	// evicts one and leaves the hand past slot 0.
-	flushed.Put(1, 0, 10)
-	flushed.Put(2, 0, 10)
-	flushed.Put(3, 0, 10)
-	flushed.Put(4, 0, 10)
+	flushed.Put(1, it(0), 10)
+	flushed.Put(2, it(0), 10)
+	flushed.Put(3, it(0), 10)
+	flushed.Put(4, it(0), 10)
 	flushed.Flush()
 	if flushed.hand != 0 {
 		t.Fatalf("hand = %d after Flush, want 0", flushed.hand)
@@ -355,68 +363,19 @@ func TestFlushResetsClockHand(t *testing.T) {
 // lock-free readers re-set every other entry's bit behind the hand.
 func TestPutNeverEvictsItsOwnEntry(t *testing.T) {
 	var evicted []uint64
-	c := New[int](20, func(key uint64, _ int, _ int64) { evicted = append(evicted, key) })
-	c.Put(1, 0, 10)
-	c.Put(2, 0, 10)
-	c.Put(3, 0, 10) // sweep clears every bit, evicts 1; ring [3 2], hand 0
+	c := New(20, func(key uint64, _ *item, _ int64) { evicted = append(evicted, key) })
+	c.Put(1, it(0), 10)
+	c.Put(2, it(0), 10)
+	c.Put(3, it(0), 10) // sweep clears every bit, evicts 1; ring [3 2], hand 0
 	c.Get(3)
 	c.Resize(10) // second chance for 3, evicts 2 from the last slot: hand == len(ring)
 	c.Get(3)
-	c.Put(4, 0, 10) // the hand starts on 4, finds 3 referenced, comes back to 4
+	c.Put(4, it(0), 10) // the hand starts on 4, finds 3 referenced, comes back to 4
 	if want := []uint64{1, 2, 3}; len(evicted) != 3 || evicted[2] != 3 {
 		t.Fatalf("evicted %v, want %v", evicted, want)
 	}
 	if !c.Contains(4) || c.Len() != 1 || c.Used() != 10 {
 		t.Fatalf("entry 4 not resident after its own Put: len %d used %d", c.Len(), c.Used())
-	}
-}
-
-func TestRecycleReusesEvictedNodes(t *testing.T) {
-	// A 2-entry cache fed a new key per Put evicts once per Put; with the
-	// owner handing each evicted node back, steady state allocates none.
-	handles := map[uint64]Handle[int]{}
-	var c *Cache[int]
-	c = New[int](20, func(key uint64, _ int, _ int64) {
-		c.Recycle(handles[key])
-		delete(handles, key)
-	})
-	key := uint64(0)
-	put := func() {
-		key++
-		c.Put(key, int(key), 10)
-		handles[key], _ = c.Handle(key)
-	}
-	for i := 0; i < 8; i++ {
-		put()
-	}
-	if allocs := testing.AllocsPerRun(100, put); allocs != 0 {
-		t.Fatalf("Put over a recycling cache allocates %.0f times, want 0", allocs)
-	}
-	if v, ok := c.Get(key); !ok || v != int(key) {
-		t.Fatalf("Get(%d) = (%d,%v) after node reuse", key, v, ok)
-	}
-	if c.Len() != 2 || c.Used() != 20 {
-		t.Fatalf("Len=%d Used=%d, want 2 entries of 10", c.Len(), c.Used())
-	}
-
-	// Misuse is ignored, not obeyed: a still-cached entry's node and an
-	// already recycled one must not enter the free list.
-	live := handles[key]
-	c.Recycle(live)
-	c.Recycle(Handle[int]{})
-	gone, _ := c.Remove(key - 1)
-	old := handles[key-1]
-	c.Recycle(old)
-	c.Recycle(old)
-	c.Put(100, 100, 1)
-	c.Put(101, 101, 1)
-	if v, ok := c.Get(key); !ok || v != int(key) {
-		t.Fatalf("recycling a cached entry's handle corrupted it: (%d,%v)", v, ok)
-	}
-	for _, k := range []uint64{100, 101} {
-		if v, ok := c.Get(k); !ok || v != int(k) {
-			t.Fatalf("Get(%d) = (%d,%v): a node was handed out twice (removed value %d)", k, v, ok, gone)
-		}
 	}
 }
 
@@ -427,8 +386,8 @@ func TestRecycleReusesEvictedNodes(t *testing.T) {
 // the same keys in the same order.
 func TestVictimPredictsEviction(t *testing.T) {
 	var asked, quiet []uint64
-	c := New[uint64](50, func(key uint64, _ uint64, _ int64) { asked = append(asked, key) })
-	twin := New[uint64](50, func(key uint64, _ uint64, _ int64) { quiet = append(quiet, key) })
+	c := New(50, func(key uint64, _ *item, _ int64) { asked = append(asked, key) })
+	twin := New(50, func(key uint64, _ *item, _ int64) { quiet = append(quiet, key) })
 	if _, ok := c.Victim(10); ok {
 		t.Fatal("empty cache reported a victim")
 	}
@@ -446,11 +405,11 @@ func TestVictimPredictsEviction(t *testing.T) {
 			evicts = false // an update never evicts: same size, same budget
 		}
 		before := len(asked)
-		c.Put(key, key, 10)
-		twin.Put(key, key, 10)
+		c.Put(key, it(int(key)), 10)
+		twin.Put(key, it(int(key)), 10)
 		switch {
-		case evicts && (len(asked) == before || asked[before] != want):
-			t.Fatalf("op %d: Victim said %d, Put evicted %v", i, want, asked[before:])
+		case evicts && (len(asked) == before || asked[before] != uint64(want.v)):
+			t.Fatalf("op %d: Victim said %d, Put evicted %v", i, want.v, asked[before:])
 		case !evicts && len(asked) != before:
 			t.Fatalf("op %d: Victim said none, Put evicted %v", i, asked[before:])
 		}

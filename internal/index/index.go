@@ -59,6 +59,12 @@ const (
 // pages. Index page reads and writes block the firmware timeline —
 // mapping resolution is inherently serial — which is exactly why index
 // residency in DRAM dominates KVSSD performance.
+//
+// ReadPage and AppendPage never run garbage collection, and must not
+// call back into the index: they run in the middle of an index
+// operation (a page-in, the write-back of the table it evicts). The
+// device collects garbage between commands instead, reserving each
+// command's worst-case page demand before the index is touched.
 type Env interface {
 	// ReadPage fetches an index page from flash, charging its latency
 	// and counting one metadata flash read.

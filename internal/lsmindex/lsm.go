@@ -88,6 +88,13 @@ type ownerRef struct {
 	pi int
 }
 
+// runPage is a cached run page: the page bytes ReadPage returned, beside
+// the embedded cache node.
+type runPage struct {
+	dram.Node
+	data []byte
+}
+
 // run is one immutable sorted run on flash.
 type run struct {
 	pages  []nand.PPA // page addresses, in key order
@@ -100,9 +107,9 @@ type Index struct {
 	cfg Config
 	env index.Env
 
-	mem    map[uint64]uint64   // memtable: sig -> rp (tombstoneRP = delete)
-	runs   []*run              // newest first
-	cache  *dram.Cache[[]byte] // page cache for run pages
+	mem    map[uint64]uint64     // memtable: sig -> rp (tombstoneRP = delete)
+	runs   []*run                // newest first
+	cache  *dram.Cache[*runPage] // page cache for run pages
 	owners map[nand.PPA]ownerRef
 
 	n           int64 // live records (net of tombstones)
@@ -129,7 +136,7 @@ func New(cfg Config, env index.Env) (*Index, error) {
 		mem:    make(map[uint64]uint64),
 		owners: make(map[nand.PPA]ownerRef),
 	}
-	ix.cache = dram.New[[]byte](cfg.CacheBudget, nil) // run pages are immutable: no write-back
+	ix.cache = dram.New[*runPage](cfg.CacheBudget, nil) // run pages are immutable: no write-back
 	return ix, nil
 }
 
@@ -244,14 +251,14 @@ func (ix *Index) searchRun(r *run, sigLo uint64) (uint64, bool, error) {
 
 func (ix *Index) loadRunPage(r *run, pi int) ([]byte, error) {
 	ppa := r.pages[pi]
-	if data, ok := ix.cache.Get(uint64(ppa)); ok {
-		return data, nil
+	if pg, ok := ix.cache.Get(uint64(ppa)); ok {
+		return pg.data, nil
 	}
 	data, err := ix.env.ReadPage(ppa)
 	if err != nil {
 		return nil, err
 	}
-	ix.cache.Put(uint64(ppa), data, int64(len(data)))
+	ix.cache.Put(uint64(ppa), &runPage{data: data}, int64(len(data)))
 	return data, nil
 }
 

@@ -1,13 +1,18 @@
 package mlhash
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"repro/internal/dram"
+)
 
 // page is one cached index page held as raw on-flash bytes: slots of
 // {sig:8, ppa:5}. Clean pages alias the flash array's storage (zero
 // copy); the first mutation copies the buffer (owned=true). Keeping the
 // wire format avoids per-load decoding, which dominates replay cost when
-// the cache thrashes.
+// the cache thrashes. The embedded node is its cache entry.
 type page struct {
+	dram.Node
 	buf   []byte
 	dirty bool
 	owned bool

@@ -51,21 +51,22 @@ func benchSet(tb testing.TB, keys int, mutate ...func(*device.Config)) (*Set, []
 
 // TestOptimisticGetZeroAlloc pins the allocation claim across the read
 // tiers: a DRAM-resident get with a reused value buffer allocates
-// nothing, whether it flows lock-free (the default), through the legacy
-// RWMutex tier, or — with the hot-value tier on — straight out of the
-// value cache without touching the index at all.
+// nothing, whether it flows lock-free (the default), through the RWMutex
+// tier that serves indexes without an optimistic surface (a multi-level
+// device), or — with the hot-value tier on — straight out of the value
+// cache without touching the index at all.
 func TestOptimisticGetZeroAlloc(t *testing.T) {
 	for _, mode := range []string{"optimistic", "rwmutex", "valuecache"} {
 		t.Run(mode, func(t *testing.T) {
 			var mutate []func(*device.Config)
-			if mode == "valuecache" {
+			switch mode {
+			case "rwmutex":
+				mutate = append(mutate, func(c *device.Config) { c.Index = device.IndexMultiLevel })
+			case "valuecache":
 				mutate = append(mutate, func(c *device.Config) { c.ValueCacheBudget = 1 << 20 })
 			}
 			set, ks := benchSet(t, 256, mutate...)
 			defer set.Close()
-			if mode == "rwmutex" {
-				set.shards[0].opt = false
-			}
 			dst := make([]byte, 0, 256)
 			i := 0
 			allocs := testing.AllocsPerRun(2000, func() {
@@ -147,9 +148,9 @@ func BenchmarkConcurrentGet(b *testing.B) {
 // goroutines, one shard, all buckets DRAM-resident.
 //
 //   - optimistic: seqlock validation under an epoch pin; no shard lock.
-//   - rwmutex: the prior PR's shared-RLock tier, forced by disabling the
-//     per-shard optimistic flag (the white-box toggle keeps everything
-//     else — device, cache state, key set — identical).
+//   - rwmutex: the shared-RLock tier, on a multi-level device: the tier
+//     serves only indexes without an optimistic surface, so the index
+//     differs from the other two modes, the key set does not.
 //   - exclusive: the write lock, as the serialization floor.
 //
 // On a single-vCPU runner the three collapse toward lock overhead
@@ -170,9 +171,8 @@ func BenchmarkOptimisticVsRWMutex(b *testing.B) {
 		}
 	})
 	b.Run("rwmutex", func(b *testing.B) {
-		set, ks := benchSet(b, keys)
+		set, ks := benchSet(b, keys, func(c *device.Config) { c.Index = device.IndexMultiLevel })
 		defer set.Close()
-		set.shards[0].opt = false
 		runConcurrentGets(b, set, ks, goroutines)
 		if st := set.Stats(); st.LockUpgrades > 0 {
 			b.Fatalf("%d reads upgraded: not measuring the RWMutex path", st.LockUpgrades)
