@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -306,7 +305,7 @@ func racePageInChurn(t *testing.T, gets bool) {
 		}
 		dom.Collect()
 		if round%256 == 0 {
-			runtime.Gosched()
+			time.Sleep(time.Microsecond) // park, so readers get the CPU
 			if (round >= 4000 && accepted.Load() > 2000 && retries.Load() > 0) || time.Now().After(deadline) {
 				break
 			}

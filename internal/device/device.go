@@ -217,8 +217,8 @@ type Stats struct {
 	PrefetchHits     int64
 }
 
-// devStats is the live counter set. Retrieve/Exist bump their counters
-// under the shard read lock, concurrently with each other, so every
+// devStats is the live counter set. Lock-free Retrieve/Exist bump their
+// counters concurrently with each other and with writers, so every
 // field is atomic; Stats() snapshots them into the exported plain struct.
 type devStats struct {
 	stores    atomic.Int64
@@ -263,7 +263,7 @@ func (s *devStats) snapshot() Stats {
 // Device is the emulated KVSSD. Mutating commands (Store, Delete,
 // Checkpoint, Restart, Close, Iterate) must be externally serialized —
 // the sharded front-end (internal/shard) runs them under a per-shard
-// write lock. Reads have three tiers:
+// write lock. Reads have two tiers:
 //
 //   - TryRetrieveOptimistic/TryExistOptimistic run with NO lock at all
 //     (RHIK only): the probe validates against per-table seqlocks and
@@ -273,10 +273,6 @@ func (s *devStats) snapshot() Stats {
 //     index.ErrNeedExclusive are returned — before any simulated-time
 //     charge — when a concurrent mutation interferes or the state is
 //     not DRAM-resident.
-//   - TryRetrieveShared/TryExistShared run under the caller's SHARED
-//     lock (the legacy tier, still used by indexes without an
-//     optimistic surface), refusing with ErrNeedExclusive whenever the
-//     operation would have to mutate index structure.
 //   - Retrieve/RetrieveAppend/Exist re-execute under the caller's
 //     exclusive lock.
 //
@@ -619,11 +615,6 @@ func (d *Device) AdvanceEpoch() { d.wepoch.Add(1) }
 // WriteEpoch reports the current write epoch: the visibility bound a
 // snapshot opened now would pin.
 func (d *Device) WriteEpoch() uint64 { return d.wepoch.Load() }
-
-// SupportsOptimisticReads reports whether the configured index exposes
-// the lock-free read tier (RHIK does; the baselines fall back to the
-// shared-lock tier).
-func (d *Device) SupportsOptimisticReads() bool { return d.optIdx.Load() != nil }
 
 // ReclaimStats snapshots the epoch-reclamation counters.
 func (d *Device) ReclaimStats() epoch.Stats { return d.reclaim.Stats() }

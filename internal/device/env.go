@@ -16,7 +16,7 @@ import (
 // effect Figs. 2 and 5 quantify.
 //
 // The cursor and the metadata-read counter are atomic because concurrent
-// readers (shard read lock) advance the same firmware timeline: every
+// readers (the lock-free tier) advance the same firmware timeline: every
 // assignment in the device is a monotone advance, so CAS-max (AdvanceTo)
 // and atomic add preserve the exact single-threaded arithmetic while
 // staying race-clean under contention. ReadPage/AppendPage/Invalidate

@@ -84,8 +84,8 @@ func (d *Device) retrieveValueHit(submitAt sim.Time, key, value, dst []byte) ([]
 	return append(dst, value...), done
 }
 
-// retrieve is the get command body shared by the exclusive and shared
-// entry points. The value is appended to dst (which may be nil).
+// retrieve is the get command body shared by Retrieve and
+// RetrieveAppend. The value is appended to dst (which may be nil).
 func (d *Device) retrieve(submitAt sim.Time, key, dst []byte, sig index.Sig) ([]byte, sim.Time, error) {
 	var vgen uint64
 	if d.vcache != nil {
@@ -167,26 +167,7 @@ func (d *Device) RetrieveAppend(submitAt sim.Time, key, dst []byte) ([]byte, sim
 	return d.retrieve(submitAt, key, dst, d.scheme.Compute(key))
 }
 
-// TryRetrieveShared executes a get under the caller's SHARED lock. It
-// returns index.ErrNeedExclusive — before charging any simulated time or
-// touching any counter — when the lookup would have to mutate index
-// structure (cache miss, in-flight migration, pending write-back error);
-// the caller re-executes under the exclusive lock. On success the value
-// is appended to dst.
-func (d *Device) TryRetrieveShared(submitAt sim.Time, key, dst []byte) ([]byte, sim.Time, error) {
-	if d.closed.Load() {
-		return dst, d.env.now.Load(), ErrClosed
-	}
-	sig := d.scheme.Compute(key)
-	sr, ok := d.idx.(index.SharedReader)
-	if !ok || !sr.SharedLookupReady(sig) {
-		return dst, 0, index.ErrNeedExclusive
-	}
-	return d.retrieve(submitAt, key, dst, sig)
-}
-
-// exist is the key-exist command body shared by the exclusive and shared
-// entry points.
+// exist is Exist's command body.
 func (d *Device) exist(submitAt sim.Time, key []byte, sig index.Sig) (bool, sim.Time, error) {
 	arrive := d.hostXfer(submitAt, len(key))
 	d.env.now.AdvanceTo(arrive)
@@ -222,19 +203,4 @@ func (d *Device) Exist(submitAt sim.Time, key []byte) (bool, sim.Time, error) {
 	}
 	d.collectRetired()
 	return d.exist(submitAt, key, d.scheme.Compute(key))
-}
-
-// TryExistShared executes a key-exist command under the caller's SHARED
-// lock, returning index.ErrNeedExclusive (before any simulated-time
-// charge) when the lookup is not DRAM-resident.
-func (d *Device) TryExistShared(submitAt sim.Time, key []byte) (bool, sim.Time, error) {
-	if d.closed.Load() {
-		return false, d.env.now.Load(), ErrClosed
-	}
-	sig := d.scheme.Compute(key)
-	sr, ok := d.idx.(index.SharedReader)
-	if !ok || !sr.SharedLookupReady(sig) {
-		return false, 0, index.ErrNeedExclusive
-	}
-	return d.exist(submitAt, key, sig)
 }

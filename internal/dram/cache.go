@@ -112,9 +112,7 @@ func (c *Cache[V]) Contains(key uint64) bool {
 }
 
 // Peek returns the cached value for key without affecting recency or
-// hit/miss accounting — a pure read, used by the pre-flight checks that
-// decide whether a lookup may run under the shard read lock. Safe for
-// concurrent readers.
+// hit/miss accounting — a pure read. Safe for concurrent readers.
 func (c *Cache[V]) Peek(key uint64) (V, bool) {
 	v, ok := c.byKey[key]
 	return v, ok

@@ -115,18 +115,6 @@ type Index interface {
 	Name() string
 }
 
-// SharedReader is implemented by indexes whose Get/Exist can run under
-// a shared (read) lock when the needed state is DRAM-resident.
-// SharedLookupReady must be a pure pre-flight check: no timeline charges,
-// no counter updates, no cache recency effects. When it returns true, a
-// subsequent Get/Exist for the same sig is guaranteed to mutate nothing
-// but atomics (counters, cache reference bits) — safe among concurrent
-// readers — because only writers, which hold the exclusive lock, can
-// evict or restructure between the check and the lookup.
-type SharedReader interface {
-	SharedLookupReady(sig Sig) bool
-}
-
 // PrefixScanner is implemented by indexes that can enumerate candidate
 // record pointers for an iterator-mode key prefix (SigScheme.PrefixLen >
 // 0): exactly the live records whose signature's low 32 bits equal low —

@@ -119,7 +119,6 @@ type Index struct {
 }
 
 var _ index.Index = (*Index)(nil)
-var _ index.SharedReader = (*Index)(nil)
 var _ index.Relocator = (*Index)(nil)
 var _ index.StatsProvider = (*Index)(nil)
 var _ index.PrefixScanner = (*Index)(nil)
@@ -281,34 +280,6 @@ func (ix *Index) Delete(sig index.Sig) (uint64, bool, error) {
 func (ix *Index) Exist(sig index.Sig) (bool, error) {
 	_, ok, err := ix.Lookup(sig)
 	return ok, err
-}
-
-// SharedLookupReady implements index.SharedReader. A lookup can run under
-// the shard read lock when it cannot trigger a run-page load: either the
-// memtable answers directly, or every run's one candidate page (located
-// by the same fence search the lookup performs, replayed here without
-// CPU charges) is DRAM-resident. Conservative: a hit in a newer run would
-// stop the search early, but we require all candidates cached anyway.
-func (ix *Index) SharedLookupReady(sig index.Sig) bool {
-	if ix.ioErr != nil {
-		return false
-	}
-	if _, ok := ix.mem[sig.Lo]; ok {
-		return true
-	}
-	for _, r := range ix.runs {
-		if len(r.pages) == 0 {
-			continue
-		}
-		pi := sort.Search(len(r.fences), func(i int) bool { return r.fences[i] > sig.Lo }) - 1
-		if pi < 0 {
-			continue
-		}
-		if !ix.cache.Contains(uint64(r.pages[pi])) {
-			return false
-		}
-	}
-	return true
 }
 
 // PrefixRecords implements index.PrefixScanner, giving the LSM index

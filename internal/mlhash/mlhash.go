@@ -103,7 +103,6 @@ type Index struct {
 }
 
 var _ index.Index = (*Index)(nil)
-var _ index.SharedReader = (*Index)(nil)
 var _ index.Relocator = (*Index)(nil)
 var _ index.StatsProvider = (*Index)(nil)
 var _ index.PrefixScanner = (*Index)(nil)
@@ -368,29 +367,6 @@ func (ix *Index) PrefixRecords(low uint32) ([]uint64, error) {
 		}
 	}
 	return out, ix.checkIO()
-}
-
-// SharedLookupReady implements index.SharedReader. A lookup probes levels
-// top-down until a page contains sig, so it can run under the shard read
-// lock when every page it would touch is DRAM-resident: walk the same
-// probe sequence with pure peeks, stopping early at the level that would
-// satisfy the lookup. A page that was never persisted is not cached
-// either (loadPage would insert an empty page — a mutation), so the walk
-// correctly demands exclusivity for it.
-func (ix *Index) SharedLookupReady(sig index.Sig) bool {
-	if ix.ioErr != nil {
-		return false
-	}
-	for l := 0; l < len(ix.dirs); l++ {
-		pg, ok := ix.cache.Peek(unitKey(l, ix.pageOf(sig.Lo, l)))
-		if !ok {
-			return false
-		}
-		if pg.find(sig.Lo) >= 0 {
-			return true
-		}
-	}
-	return true // full probe, all levels cached: a clean miss is pure
 }
 
 // Flush implements index.Index: write back every dirty cached page.

@@ -38,9 +38,9 @@ type Stats struct {
 	WriteBytes int64
 }
 
-// flashStats is the live counter set. Reads run concurrently under the
-// shard read lock, so the counters are atomics; Stats() snapshots them
-// into the plain exported struct.
+// flashStats is the live counter set. Reads run concurrently on the
+// lock-free read tier, so the counters are atomics; Stats() snapshots
+// them into the plain exported struct.
 type flashStats struct {
 	reads      atomic.Int64
 	programs   atomic.Int64

@@ -8,24 +8,25 @@ import (
 	"repro/internal/kvwire"
 )
 
-// respPool recycles encoded response frames between workers (which
-// build them) and connection writers (which flush them).
+// respPool recycles encoded response frames between the goroutines that
+// build them (readers, workers, committers) and connection writers.
 var respPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 4<<10)
 	return &b
 }}
 
-// conn is one accepted connection: a reader goroutine that parses and
-// admits requests, and a writer goroutine that flushes out-of-order
-// responses. The writer only exits once every admitted request has
-// enqueued its response, so replies never block on a departed peer's
-// goroutine being gone — at worst they are discarded after a write
-// error.
+// conn is one accepted connection: a reader goroutine that parses
+// requests, answers lock-free reads in place and admits the rest, and a
+// writer goroutine that flushes out-of-order responses. The writer only
+// exits once every admitted request has enqueued its response, so
+// replies never block on a departed peer's goroutine being gone — at
+// worst they are discarded after a write error.
 type conn struct {
 	srv   *Server
 	nc    net.Conn
 	out   chan *[]byte
 	tasks sync.WaitGroup // requests admitted on this conn, not yet replied
+	vbuf  []byte         // the reader's value scratch for in-place GETs
 }
 
 func newConn(s *Server, nc net.Conn) *conn {
@@ -108,6 +109,29 @@ func (c *conn) reply(build func([]byte) []byte) {
 	pb := respPool.Get().(*[]byte)
 	*pb = build((*pb)[:0])
 	c.out <- pb
+}
+
+// replyStatus answers a request whose only result is err.
+func (c *conn) replyStatus(id uint64, err error) {
+	st := statusOf(err)
+	if st == kvwire.StatusOK {
+		c.reply(func(b []byte) []byte { return kvwire.AppendOK(b, id) })
+		return
+	}
+	c.reply(func(b []byte) []byte { return kvwire.AppendError(b, id, st, "") })
+}
+
+// replyRead answers a GET with v or an EXIST with ok, or either with
+// err's status.
+func (c *conn) replyRead(op kvwire.Op, id uint64, v []byte, ok bool, err error) {
+	switch {
+	case err != nil:
+		c.replyStatus(id, err)
+	case op == kvwire.OpGet:
+		c.reply(func(b []byte) []byte { return kvwire.AppendValueResponse(b, id, v) })
+	default:
+		c.reply(func(b []byte) []byte { return kvwire.AppendBoolResponse(b, id, ok) })
+	}
 }
 
 func (c *conn) replyBusy(id uint64, msg string) {

@@ -1,33 +1,28 @@
 // Package server exposes a sharded emulated KVSSD (shard.Set) over TCP
-// using the kvwire protocol. The design targets the serving-path
-// bottlenecks remote KV studies identify: per-connection pipelining,
-// bounded queues instead of unbounded buffering, and shard-affine
-// dispatch so the device's parallelism survives the network hop.
+// using the kvwire protocol. Each connection runs one reader and one
+// writer goroutine, and the reader sends each request down the shortest
+// path that keeps its ordering and backpressure contract:
 //
-// Each connection runs one reader and one writer goroutine. The reader
-// parses frames and dispatches them to bounded worker pools keyed by
-// Set.RouteKey. Every shard gets ONE writer worker — mutations on the
-// same shard execute in submission order — plus a small READ pool
-// (Options.ReadPool) serving GET/EXIST: the shard's RWMutex lets
-// DRAM-resident lookups run concurrently, so several read workers per
-// shard extract real parallelism from a single shard. Reads are
-// therefore not ordered against writes admitted concurrently on the
-// same shard; clients needing read-your-write order must await the
-// write's response before issuing the read (the wire protocol's
-// request/response matching already encourages exactly that). BATCH and
-// STATS requests, which span shards (Set.Apply fans out internally),
-// run on a separate small executor pool. Responses complete out of
-// order and are matched by request ID.
+//   - GET and EXIST run on the reader through the set's lock-free tier
+//     (Set.TryRetrieveAppend, Set.TryExist), replying straight to the
+//     connection's outbound queue. Only a read that tier refuses (page-in,
+//     lazy migration, a value in an open page buffer) queues to its
+//     shard's worker.
+//   - With a WAL attached, PUT and DEL go straight to the shard's group
+//     committer (Set.TrySubmit), which replies once their group is
+//     applied and logged. Without one they queue to the shard's worker,
+//     which executes in submission order.
+//   - BATCH, SCAN, STATS and snapshot requests span shards and run on a
+//     small executor pool.
 //
-// Backpressure is explicit: when the global inflight limit or a
-// worker's queue is full the server immediately answers BUSY — the
-// request is guaranteed not to have executed — rather than buffering
-// without bound. An optional per-request deadline drops requests that
-// sat in queue too long with DEADLINE, again without executing them.
-//
-// Shutdown drains gracefully: stop accepting, unblock connection
-// readers, finish every admitted request, flush every response, then
-// checkpoint and close the device.
+// Reads are not ordered against writes in flight on the same shard: a
+// client needing read-your-write order awaits the write's response.
+// Responses complete out of order, matched by request ID. When the
+// inflight limit or a queue is full the server answers BUSY at once,
+// and an optional deadline answers DEADLINE for requests that waited in
+// a queue too long; neither executes the request. Shutdown drains:
+// stop accepting, finish every admitted request, flush every response,
+// then checkpoint and close the device.
 package server
 
 import (
@@ -41,6 +36,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/kvwire"
 	"repro/internal/shard"
+	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -52,14 +48,9 @@ type Options struct {
 	// QueueDepth caps each worker's queue (default 256). A full queue
 	// answers BUSY.
 	QueueDepth int
-	// ReadPool is the number of read workers per shard serving GET and
-	// EXIST (default 4). Under RHIK a read takes no shard lock (the
-	// optimistic tier) unless it needs a page-in, a lazy migration or a
-	// value still in an open page buffer, so the pool executes reads
-	// concurrently; writes keep one ordered worker per shard regardless.
-	ReadPool int
-	// RequestTimeout, when positive, drops requests that waited in
-	// queue longer than this with DEADLINE instead of executing them.
+	// RequestTimeout, when positive, drops requests that waited in a
+	// worker's or committer's queue longer than this with DEADLINE
+	// instead of executing them.
 	RequestTimeout time.Duration
 	// Logf receives serving-lifecycle messages (nil = silent).
 	Logf func(format string, args ...any)
@@ -72,9 +63,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.QueueDepth <= 0 {
 		out.QueueDepth = 256
-	}
-	if out.ReadPool <= 0 {
-		out.ReadPool = 4
 	}
 	if out.Logf == nil {
 		out.Logf = func(string, ...any) {}
@@ -91,12 +79,10 @@ type Server struct {
 	set  *shard.Set
 	opts Options
 
-	queues  []chan *task // one per shard: mutations, in submission order
-	rqueues []chan *task // one per shard: GET/EXIST, drained by a read pool
-	xqueue  chan *task   // cross-shard ops: BATCH, STATS
+	queues []chan *task // one per shard: refused reads, WAL-less mutations
+	xqueue chan *task   // cross-shard ops: BATCH, SCAN, STATS, snapshots
 
 	inflight atomic.Int64
-	tasks    sync.WaitGroup // admitted requests not yet answered
 	workers  sync.WaitGroup
 	conns    sync.WaitGroup // reader+writer goroutines
 
@@ -124,10 +110,8 @@ func New(set *shard.Set, opts Options) *Server {
 		snaps:   make(map[uint64]*serverSnap),
 	}
 	s.queues = make([]chan *task, set.N())
-	s.rqueues = make([]chan *task, set.N())
 	for i := range s.queues {
 		s.queues[i] = make(chan *task, s.opts.QueueDepth)
-		s.rqueues[i] = make(chan *task, s.opts.QueueDepth)
 	}
 	s.xqueue = make(chan *task, s.opts.QueueDepth)
 	return s
@@ -147,10 +131,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	for i := range s.queues {
 		s.workers.Add(1)
 		go s.worker(s.queues[i])
-		for r := 0; r < s.opts.ReadPool; r++ {
-			s.workers.Add(1)
-			go s.worker(s.rqueues[i])
-		}
 	}
 	// Cross-shard executors: Set.Apply fans out internally, so a few
 	// concurrent executors keep every shard busy under batch load.
@@ -218,12 +198,8 @@ func (s *Server) Shutdown() error {
 	for _, c := range open {
 		c.nc.SetReadDeadline(time.Now())
 	}
-	s.conns.Wait() // readers and writers done ⇒ all responses flushed
-	s.tasks.Wait() // paranoia: no admitted request left unanswered
+	s.conns.Wait() // readers and writers done ⇒ every response flushed
 	for _, q := range s.queues {
-		close(q)
-	}
-	for _, q := range s.rqueues {
 		close(q)
 	}
 	close(s.xqueue)
@@ -244,25 +220,29 @@ func (s *Server) Shutdown() error {
 // owned by the task (the connection's frame buffer is reused as soon as
 // the reader moves on).
 type task struct {
-	c        *conn
-	op       kvwire.Op
-	id       uint64
-	key      []byte
-	value    []byte
-	ops      []kvwire.BatchOp
-	buf      []byte
-	vbuf     []byte // reused value scratch for GET replies
-	limit    uint64 // scan result cap
-	snap     uint64 // snapshot ID for SNAPGET/SNAPRELEASE/BACKUP
-	enqueued time.Time
+	c         *conn
+	op        kvwire.Op
+	id        uint64
+	key       []byte
+	value     []byte
+	ops       []kvwire.BatchOp
+	buf       []byte
+	limit     uint64      // scan result cap
+	snap      uint64      // snapshot ID for SNAPGET/SNAPRELEASE/BACKUP
+	deadline  time.Time   // answer DEADLINE once past this (zero: none)
+	committed func(error) // t.answerCommit, bound once per pooled task
 }
 
 var taskPool = sync.Pool{New: func() any { return new(task) }}
 
-func (s *Server) putTask(t *task) {
-	t.c = nil
-	t.key, t.value, t.ops = nil, nil, t.ops[:0]
+// release returns t to the pool and reverses admit's accounting, once
+// t's response is enqueued (or t was refused).
+func (s *Server) release(t *task) {
+	c := t.c
+	t.c, t.key, t.value, t.ops = nil, nil, nil, t.ops[:0]
 	taskPool.Put(t)
+	s.inflight.Add(-1)
+	c.tasks.Done()
 }
 
 // worker executes queued tasks until its queue closes.
@@ -274,37 +254,22 @@ func (s *Server) worker(q chan *task) {
 }
 
 func (s *Server) execute(t *task) {
-	c := t.c
-	defer s.finish(c) // after the response is enqueued
-	defer s.putTask(t)
-	if d := s.opts.RequestTimeout; d > 0 && time.Since(t.enqueued) > d {
-		t.c.reply(func(b []byte) []byte {
-			return kvwire.AppendError(b, t.id, kvwire.StatusDeadline, "queued past deadline")
-		})
+	defer s.release(t)
+	if !t.deadline.IsZero() && time.Now().After(t.deadline) {
+		t.c.replyStatus(t.id, shard.ErrDeadline)
 		return
 	}
 	switch t.op {
 	case kvwire.OpPut:
-		s.replyStatus(t, s.set.Store(t.key, t.value))
+		t.c.replyStatus(t.id, s.set.Store(t.key, t.value))
 	case kvwire.OpDel:
-		s.replyStatus(t, s.set.Delete(t.key))
+		t.c.replyStatus(t.id, s.set.Delete(t.key))
 	case kvwire.OpGet:
-		// Append into the task's reused scratch: a DRAM-resident get
-		// then completes without allocating on the device or here.
-		v, err := s.set.RetrieveAppend(t.vbuf[:0], t.key)
-		if err != nil {
-			s.replyStatus(t, err)
-			return
-		}
-		t.vbuf = v
-		t.c.reply(func(b []byte) []byte { return kvwire.AppendValueResponse(b, t.id, v) })
+		v, err := s.set.Retrieve(t.key)
+		t.c.replyRead(t.op, t.id, v, false, err)
 	case kvwire.OpExist:
 		ok, err := s.set.Exist(t.key)
-		if err != nil {
-			s.replyStatus(t, err)
-			return
-		}
-		t.c.reply(func(b []byte) []byte { return kvwire.AppendBoolResponse(b, t.id, ok) })
+		t.c.replyRead(t.op, t.id, nil, ok, err)
 	case kvwire.OpBatch:
 		s.executeBatch(t)
 	case kvwire.OpScan:
@@ -327,13 +292,11 @@ func (s *Server) execute(t *task) {
 	}
 }
 
-func (s *Server) replyStatus(t *task, err error) {
-	st := statusOf(err)
-	if st == kvwire.StatusOK {
-		t.c.reply(func(b []byte) []byte { return kvwire.AppendOK(b, t.id) })
-		return
-	}
-	t.c.reply(func(b []byte) []byte { return kvwire.AppendError(b, t.id, st, "") })
+// answerCommit is the shard committer's callback for a mutation admit
+// handed it.
+func (t *task) answerCommit(err error) {
+	t.c.replyStatus(t.id, err)
+	t.c.srv.release(t)
 }
 
 func (s *Server) executeBatch(t *task) {
@@ -370,7 +333,7 @@ func (s *Server) executeScan(t *task) {
 			})
 			return
 		}
-		s.replyStatus(t, err)
+		t.c.replyStatus(t.id, err)
 		return
 	}
 	limit := t.limit
@@ -452,14 +415,34 @@ func statusOf(err error) kvwire.Status {
 		return kvwire.StatusUnknownSnapshot
 	case errors.Is(err, device.ErrSnapshotBusy):
 		return kvwire.StatusBusy
+	case errors.Is(err, shard.ErrDeadline):
+		return kvwire.StatusDeadline
 	default:
 		return kvwire.StatusInternal
 	}
 }
 
-// admit routes a parsed request into the worker pool, answering BUSY
-// itself when a limit is hit. It owns the inflight/task accounting.
+// admit executes or routes one parsed request, answering BUSY itself
+// when a limit is hit. It owns the inflight/task accounting of
+// everything it does not answer in place.
 func (s *Server) admit(c *conn, req *kvwire.Request) {
+	switch req.Op {
+	case kvwire.OpGet:
+		// Into the connection's reused scratch: a DRAM-resident get
+		// completes without allocating on the device or here.
+		v, err := s.set.TryRetrieveAppend(c.vbuf[:0], req.Key)
+		if !errors.Is(err, index.ErrNeedExclusive) {
+			c.vbuf = v
+			c.replyRead(req.Op, req.ID, v, false, err)
+			return
+		}
+	case kvwire.OpExist:
+		ok, err := s.set.TryExist(req.Key)
+		if !errors.Is(err, index.ErrNeedExclusive) {
+			c.replyRead(req.Op, req.ID, nil, ok, err)
+			return
+		}
+	}
 	if s.inflight.Load() >= int64(s.opts.MaxInflight) {
 		c.replyBusy(req.ID, "inflight limit")
 		return
@@ -471,39 +454,47 @@ func (s *Server) admit(c *conn, req *kvwire.Request) {
 	t.id = req.ID
 	t.limit = req.Limit
 	t.snap = req.Snap
-	t.enqueued = time.Now()
+	t.deadline = time.Time{}
+	if d := s.opts.RequestTimeout; d > 0 {
+		t.deadline = time.Now().Add(d)
+	}
 	t.copyPayload(req)
 
+	s.inflight.Add(1)
+	c.tasks.Add(1)
 	var q chan *task
 	switch req.Op {
 	case kvwire.OpPut, kvwire.OpDel:
-		q = s.queues[s.set.RouteKey(t.key)]
+		if !s.set.WALAttached() {
+			q = s.queues[s.set.RouteKey(t.key)]
+			break
+		}
+		op := wal.OpPut
+		if req.Op == kvwire.OpDel {
+			op = wal.OpDelete
+		}
+		if t.committed == nil {
+			t.committed = t.answerCommit
+		}
+		if s.set.TrySubmit(op, t.key, t.value, t.deadline, t.committed) {
+			return
+		}
 	case kvwire.OpGet, kvwire.OpExist:
-		q = s.rqueues[s.set.RouteKey(t.key)]
+		q = s.queues[s.set.RouteKey(t.key)]
 	default:
 		q = s.xqueue
 	}
-
-	s.inflight.Add(1)
-	s.tasks.Add(1)
-	c.tasks.Add(1)
-	select {
-	case q <- t:
-	default:
-		// Queue full: the shard (or executor pool) is the bottleneck.
-		// Refuse instead of buffering unboundedly.
-		s.finish(c)
-		s.putTask(t)
-		c.replyBusy(req.ID, "queue full")
+	if q != nil {
+		select {
+		case q <- t:
+			return
+		default:
+		}
 	}
-}
-
-// finish reverses admit's accounting; conn.reply calls it after the
-// response frame is enqueued.
-func (s *Server) finish(c *conn) {
-	s.inflight.Add(-1)
-	s.tasks.Done()
-	c.tasks.Done()
+	// Queue full: the shard (or executor pool) is the bottleneck. Refuse
+	// instead of buffering unboundedly.
+	s.release(t)
+	c.replyBusy(req.ID, "queue full")
 }
 
 // copyPayload copies the request's key/value/batch bytes into the
@@ -516,29 +507,18 @@ func (t *task) copyPayload(req *kvwire.Request) {
 	if cap(t.buf) < need {
 		t.buf = make([]byte, 0, need)
 	}
-	buf := t.buf[:0]
-	off := func(b []byte) (lo, hi int) {
-		lo = len(buf)
-		buf = append(buf, b...)
-		return lo, len(buf)
-	}
-	kl, kh := off(req.Key)
-	vl, vh := off(req.Value)
-	type span struct{ kl, kh, vl, vh int }
-	spans := make([]span, len(req.Ops))
-	for i, bo := range req.Ops {
-		spans[i].kl, spans[i].kh = off(bo.Key)
-		spans[i].vl, spans[i].vh = off(bo.Value)
-	}
-	t.buf = buf
-	t.key = buf[kl:kh:kh]
-	t.value = buf[vl:vh:vh]
+	t.buf = t.buf[:0]
+	t.key, t.value = t.own(req.Key), t.own(req.Value)
 	t.ops = t.ops[:0]
-	for i, bo := range req.Ops {
-		t.ops = append(t.ops, kvwire.BatchOp{
-			Op:    bo.Op,
-			Key:   buf[spans[i].kl:spans[i].kh:spans[i].kh],
-			Value: buf[spans[i].vl:spans[i].vh:spans[i].vh],
-		})
+	for _, bo := range req.Ops {
+		t.ops = append(t.ops, kvwire.BatchOp{Op: bo.Op, Key: t.own(bo.Key), Value: t.own(bo.Value)})
 	}
+}
+
+// own appends b to t.buf and returns the copy. copyPayload sized t.buf
+// for the whole payload, so the append never moves earlier copies.
+func (t *task) own(b []byte) []byte {
+	lo := len(t.buf)
+	t.buf = append(t.buf, b...)
+	return t.buf[lo:len(t.buf):len(t.buf)]
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/kvwire"
 	"repro/internal/server"
+	"repro/internal/shard"
 )
 
 // logBuf captures server log lines race-safely.
@@ -45,10 +46,43 @@ func (l *logBuf) contains(sub string) bool {
 // tears everything down at test end.
 func startServer(t *testing.T, shards int, opts server.Options) (srv *server.Server, addr string, logs *logBuf, served chan error) {
 	t.Helper()
-	set, err := rhik.OpenSet(rhik.Options{Capacity: 256 << 20, Shards: shards})
+	return serveSet(t, openSet(t, rhik.Options{Shards: shards}), opts)
+}
+
+// openSet opens a 256 MiB set configured by so.
+func openSet(t *testing.T, so rhik.Options) *shard.Set {
+	t.Helper()
+	so.Capacity = 256 << 20
+	set, err := rhik.OpenSet(so)
 	if err != nil {
 		t.Fatalf("OpenSet: %v", err)
 	}
+	return set
+}
+
+// withWAL is the set configuration of a server whose mutations go
+// through the shard committers; fsync=none keeps the disk out of the
+// test's timing.
+func withWAL(t *testing.T, shards int) rhik.Options {
+	return rhik.Options{Shards: shards, WAL: rhik.WALOptions{Dir: t.TempDir(), Fsync: "none"}}
+}
+
+// setCase is a named set configuration for a table-driven test.
+type setCase struct {
+	name string
+	so   rhik.Options
+}
+
+// mutationPaths are the two single-shard sets whose servers execute
+// PUT/DEL differently: queued to the shard worker, or handed to the WAL
+// committer.
+func mutationPaths(t *testing.T) []setCase {
+	return []setCase{{"worker", rhik.Options{Shards: 1}}, {"wal", withWAL(t, 1)}}
+}
+
+// serveSet serves set on a loopback port and shuts it down at test end.
+func serveSet(t *testing.T, set *shard.Set, opts server.Options) (srv *server.Server, addr string, logs *logBuf, served chan error) {
+	t.Helper()
 	logs = &logBuf{}
 	opts.Logf = logs.logf
 	srv = server.New(set, opts)
@@ -198,20 +232,8 @@ func TestLoopbackMixedOps(t *testing.T) {
 // BAD_REQUEST mapping when the prefix is shorter than the signature
 // prefix or the server lacks iterator signatures.
 func TestScanRoundTrip(t *testing.T) {
-	set, err := rhik.OpenSet(rhik.Options{Capacity: 256 << 20, Shards: 4, IteratorPrefixLen: 6})
-	if err != nil {
-		t.Fatalf("OpenSet: %v", err)
-	}
-	logs := &logBuf{}
-	srv := server.New(set, server.Options{Logf: logs.logf})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Shutdown() })
-
-	c, err := client.Dial(client.Options{Addr: ln.Addr().String()})
+	_, addr, _, _ := serveSet(t, openSet(t, rhik.Options{Shards: 4, IteratorPrefixLen: 6}), server.Options{})
+	c, err := client.Dial(client.Options{Addr: addr})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -313,10 +335,18 @@ func TestValueSizesAndEdgeCases(t *testing.T) {
 
 // TestBusyBackpressure floods a tiny-inflight server with pipelined
 // frames over a raw socket and requires BUSY rejections, then verifies
-// a retrying client still completes every op.
+// a retrying client still completes every op — with mutations queued to
+// the shard worker, and with them handed to the WAL committer.
 func TestBusyBackpressure(t *testing.T) {
-	_, addr, _, _ := startServer(t, 1, server.Options{MaxInflight: 4})
+	for _, tc := range mutationPaths(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			_, addr, _, _ := serveSet(t, openSet(t, tc.so), server.Options{MaxInflight: 4})
+			testBusyBackpressure(t, addr)
+		})
+	}
+}
 
+func testBusyBackpressure(t *testing.T, addr string) {
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatalf("dial raw: %v", err)
@@ -389,18 +419,128 @@ func TestBusyBackpressure(t *testing.T) {
 	}
 }
 
-// TestRequestDeadline verifies queued-past-deadline requests are
-// dropped with DEADLINE instead of executing.
+// TestRequestDeadline verifies queued-past-deadline mutations are
+// answered DEADLINE and never applied, whether they waited for the
+// shard worker or for the WAL committer.
 func TestRequestDeadline(t *testing.T) {
-	_, addr, _, _ := startServer(t, 1, server.Options{RequestTimeout: time.Nanosecond})
-	c, err := client.Dial(client.Options{Addr: addr, MaxRetries: -1})
+	for _, tc := range mutationPaths(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			set := openSet(t, tc.so)
+			_, addr, _, _ := serveSet(t, set, server.Options{RequestTimeout: time.Nanosecond})
+			c, err := client.Dial(client.Options{Addr: addr, MaxRetries: -1})
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer c.Close()
+			// Any nonzero queue wait exceeds 1ns, so the request must be shed.
+			if err := c.Put([]byte("k"), []byte("v")); !errors.Is(err, kvwire.ErrDeadline) {
+				t.Fatalf("put: want ErrDeadline, got %v", err)
+			}
+			if err := c.Del([]byte("k")); !errors.Is(err, kvwire.ErrDeadline) {
+				t.Fatalf("del: want ErrDeadline, got %v", err)
+			}
+			if st := set.Stats(); st.Dev.Stores != 0 || st.Dev.Deletes != 0 || st.WAL.Records != 0 {
+				t.Fatalf("shed mutations ran: %d stores, %d deletes, %d WAL records",
+					st.Dev.Stores, st.Dev.Deletes, st.WAL.Records)
+			}
+		})
+	}
+}
+
+// TestReadYourAckedWriteAcrossConns: with a WAL attached, a PUT or DEL
+// acknowledged on one connection is seen by every GET and EXIST issued
+// after it on another, whichever tier serves the read — in place on
+// the reader, or on the shard worker when the value still sits in an
+// open page buffer.
+func TestReadYourAckedWriteAcrossConns(t *testing.T) {
+	set := openSet(t, withWAL(t, 2))
+	_, addr, _, _ := serveSet(t, set, server.Options{})
+	dial := func() *client.Client {
+		c, err := client.Dial(client.Options{Addr: addr, Conns: 1})
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	writer, reader := dial(), dial()
+
+	const goroutines, rounds = 4, 200
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				k := []byte(fmt.Sprintf("ryw%d-%02d", g, i%16))
+				v := []byte(fmt.Sprintf("v%d-%d", g, i))
+				if err := writer.Put(k, v); err != nil {
+					t.Errorf("put %s: %v", k, err)
+					return
+				}
+				if got, err := reader.Get(k); err != nil || !bytes.Equal(got, v) {
+					t.Errorf("get %s after its acked put: %q, %v; want %q", k, got, err, v)
+					return
+				}
+				if i%4 != 3 {
+					continue
+				}
+				if err := writer.Del(k); err != nil {
+					t.Errorf("del %s: %v", k, err)
+					return
+				}
+				if got, err := reader.Get(k); !errors.Is(err, kvwire.ErrNotFound) {
+					t.Errorf("get %s after its acked del: %q, %v; want not found", k, got, err)
+					return
+				}
+				if ok, err := reader.Exist(k); err != nil || ok {
+					t.Errorf("exist %s after its acked del: %v, %v", k, ok, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := set.Stats(); st.OptimisticReads == 0 || st.FallbackExclusive == 0 {
+		t.Fatalf("%d lock-free reads, %d locked reads: both tiers must serve", st.OptimisticReads, st.FallbackExclusive)
+	}
+}
+
+// TestPageInGetsThroughWorker: with an index far larger than its cache
+// most GETs need a record table paged in, which the reader refuses to
+// do in place; the shard worker must serve them correctly.
+func TestPageInGetsThroughWorker(t *testing.T) {
+	set := openSet(t, rhik.Options{Shards: 1, CacheBudget: 1, AnticipatedKeys: 1 << 14})
+	_, addr, _, _ := serveSet(t, set, server.Options{})
+	c, err := client.Dial(client.Options{Addr: addr})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.Close()
-	// Any nonzero queue wait exceeds 1ns, so the request must be shed.
-	if err := c.Put([]byte("k"), []byte("v")); !errors.Is(err, kvwire.ErrDeadline) {
-		t.Fatalf("want ErrDeadline, got %v", err)
+	const keys = 500
+	key := func(i int) []byte { return []byte(fmt.Sprintf("cold%04d", i)) }
+	for i := 0; i < keys; i++ {
+		if err := c.Put(key(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatalf("put: %v", err)
+		}
+	}
+	if err := set.Checkpoint(); err != nil { // nothing left in a page buffer
+		t.Fatal(err)
+	}
+	before := set.Stats().FallbackExclusive
+	for i := 0; i < keys; i++ {
+		if v, err := c.Get(key(i)); err != nil || string(v) != fmt.Sprintf("v%d", i) {
+			t.Fatalf("get %s: %q, %v", key(i), v, err)
+		}
+		if ok, err := c.Exist(key(i)); err != nil || !ok {
+			t.Fatalf("exist %s: %v, %v", key(i), ok, err)
+		}
+	}
+	if _, err := c.Get([]byte("cold-absent")); !errors.Is(err, kvwire.ErrNotFound) {
+		t.Fatalf("absent get: %v", err)
+	}
+	if n := set.Stats().FallbackExclusive - before; n < keys/2 {
+		t.Fatalf("only %d of %d reads went to the shard worker: the cache is not tiny", n, 2*keys)
 	}
 }
 

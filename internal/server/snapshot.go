@@ -1,6 +1,7 @@
 package server
 
 import (
+	"repro/internal/device"
 	"repro/internal/kvwire"
 	"repro/internal/shard"
 )
@@ -91,7 +92,7 @@ func (s *Server) releaseAllSnapshots() {
 func (s *Server) executeSnapshot(t *task) {
 	ss, err := s.set.Snapshot()
 	if err != nil {
-		s.replyStatus(t, err)
+		t.c.replyStatus(t.id, err)
 		return
 	}
 	info := kvwire.SnapInfo{
@@ -105,25 +106,17 @@ func (s *Server) executeSnapshot(t *task) {
 func (s *Server) executeSnapGet(t *task) {
 	ss := s.lookupSnapshot(t.snap)
 	if ss == nil {
-		t.c.reply(func(b []byte) []byte {
-			return kvwire.AppendError(b, t.id, kvwire.StatusUnknownSnapshot, "")
-		})
+		t.c.replyStatus(t.id, device.ErrSnapshotReleased) // unregistered ID
 		return
 	}
 	v, err := ss.Get(t.key)
-	if err != nil {
-		s.replyStatus(t, err)
-		return
-	}
-	t.c.reply(func(b []byte) []byte { return kvwire.AppendValueResponse(b, t.id, v) })
+	t.c.replyRead(kvwire.OpGet, t.id, v, false, err)
 }
 
 func (s *Server) executeSnapRelease(t *task) {
 	ss := s.dropSnapshot(t.snap)
 	if ss == nil {
-		t.c.reply(func(b []byte) []byte {
-			return kvwire.AppendError(b, t.id, kvwire.StatusUnknownSnapshot, "")
-		})
+		t.c.replyStatus(t.id, device.ErrSnapshotReleased) // unregistered ID
 		return
 	}
 	ss.Release()
@@ -141,19 +134,17 @@ func (s *Server) executeBackup(t *task) {
 	if t.snap == 0 {
 		var err error
 		if ss, err = s.set.Snapshot(); err != nil {
-			s.replyStatus(t, err)
+			t.c.replyStatus(t.id, err)
 			return
 		}
 		defer ss.Release()
 	} else if ss == nil {
-		t.c.reply(func(b []byte) []byte {
-			return kvwire.AppendError(b, t.id, kvwire.StatusUnknownSnapshot, "")
-		})
+		t.c.replyStatus(t.id, device.ErrSnapshotReleased) // unregistered ID
 		return
 	}
 	entries, err := ss.Iterate(nil)
 	if err != nil {
-		s.replyStatus(t, err)
+		t.c.replyStatus(t.id, err)
 		return
 	}
 	var (

@@ -51,18 +51,14 @@ func benchSet(tb testing.TB, keys int, mutate ...func(*device.Config)) (*Set, []
 
 // TestOptimisticGetZeroAlloc pins the allocation claim across the read
 // tiers: a DRAM-resident get with a reused value buffer allocates
-// nothing, whether it flows lock-free (the default), through the RWMutex
-// tier that serves indexes without an optimistic surface (a multi-level
-// device), or — with the hot-value tier on — straight out of the value
-// cache without touching the index at all.
+// nothing, whether it flows lock-free through the index (the default)
+// or — with the hot-value tier on — straight out of the value cache
+// without touching the index at all.
 func TestOptimisticGetZeroAlloc(t *testing.T) {
-	for _, mode := range []string{"optimistic", "rwmutex", "valuecache"} {
+	for _, mode := range []string{"optimistic", "valuecache"} {
 		t.Run(mode, func(t *testing.T) {
 			var mutate []func(*device.Config)
-			switch mode {
-			case "rwmutex":
-				mutate = append(mutate, func(c *device.Config) { c.Index = device.IndexMultiLevel })
-			case "valuecache":
+			if mode == "valuecache" {
 				mutate = append(mutate, func(c *device.Config) { c.ValueCacheBudget = 1 << 20 })
 			}
 			set, ks := benchSet(t, 256, mutate...)
@@ -87,11 +83,6 @@ func TestOptimisticGetZeroAlloc(t *testing.T) {
 					t.Fatalf("optimistic=%d fallbacks=%d: not measuring the lock-free path",
 						st.OptimisticReads, st.FallbackExclusive)
 				}
-			case "rwmutex":
-				if st.LockUpgrades > 0 || st.SharedReads == 0 {
-					t.Fatalf("shared=%d upgrades=%d: not measuring the RWMutex path",
-						st.SharedReads, st.LockUpgrades)
-				}
 			case "valuecache":
 				if st.Dev.ValueCacheHits == 0 || st.FallbackExclusive > 0 {
 					t.Fatalf("vhits=%d fallbacks=%d: not measuring the value-cache hit path",
@@ -103,20 +94,19 @@ func TestOptimisticGetZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkConcurrentGet measures cache-hit GET throughput with 8
-// goroutines against ONE shard — the tentpole scenario. Three modes:
+// goroutines against ONE shard. Three modes:
 //
-//   - optimistic: the lock-free seqlock read path (this PR). Expected:
-//     0 allocs/op, no shard-level lock acquired.
-//   - exclusive: every read forced through the write lock via
-//     ForceExclusiveReads — the same front-end minus reader concurrency.
-//     On a multi-core host this is where the lock gap shows up as
-//     wall-clock; on a single-core CI box the two differ only by lock
-//     overhead, since timeslicing admits no parallel speedup.
+//   - optimistic: the lock-free seqlock read path. Expected: 0 allocs/op,
+//     no shard-level lock acquired.
+//   - exclusive: a multi-level device, which has no lock-free tier, so
+//     every read runs under the shard's write lock — the same front-end
+//     minus reader concurrency. On a multi-core host this is where the
+//     lock gap shows up as wall-clock; on a single-core box the two
+//     differ only by lock overhead, since timeslicing admits no parallel
+//     speedup.
 //   - queued: reads funneled through ONE worker goroutine over a
-//     channel — the pre-read-pool serving architecture, where a shard's
-//     worker executed every command including reads. The lock-free path
-//     must beat this by ≥2×: that per-op channel handoff is exactly
-//     what the per-shard read pools delete.
+//     channel, the per-op hand-off a server worker pool puts in front of
+//     the shard. The lock-free path called in place must beat it by ≥2×.
 func BenchmarkConcurrentGet(b *testing.B) {
 	const (
 		goroutines = 8
@@ -131,58 +121,17 @@ func BenchmarkConcurrentGet(b *testing.B) {
 		}
 	})
 	b.Run("exclusive", func(b *testing.B) {
-		set, ks := benchSet(b, keys)
+		set, ks := benchSet(b, keys, func(c *device.Config) { c.Index = device.IndexMultiLevel })
 		defer set.Close()
-		set.ForceExclusiveReads(true)
 		runConcurrentGets(b, set, ks, goroutines)
+		if st := set.Stats(); st.OptimisticReads > 0 {
+			b.Fatalf("%d reads ran lock-free: not measuring the locked path", st.OptimisticReads)
+		}
 	})
 	b.Run("queued", func(b *testing.B) {
 		set, ks := benchSet(b, keys)
 		defer set.Close()
 		benchQueuedGets(b, set, ks, goroutines)
-	})
-}
-
-// BenchmarkOptimisticVsRWMutex isolates what the optimistic tier buys
-// over the previous read-locking designs on the identical workload: 8
-// goroutines, one shard, all buckets DRAM-resident.
-//
-//   - optimistic: seqlock validation under an epoch pin; no shard lock.
-//   - rwmutex: the shared-RLock tier, on a multi-level device: the tier
-//     serves only indexes without an optimistic surface, so the index
-//     differs from the other two modes, the key set does not.
-//   - exclusive: the write lock, as the serialization floor.
-//
-// On a single-vCPU runner the three collapse toward lock overhead
-// deltas; the spread is real only with hardware parallelism. The CI
-// record (results/BENCH_8.json) carries the host's CPU count for that
-// reason.
-func BenchmarkOptimisticVsRWMutex(b *testing.B) {
-	const (
-		goroutines = 8
-		keys       = 1024
-	)
-	b.Run("optimistic", func(b *testing.B) {
-		set, ks := benchSet(b, keys)
-		defer set.Close()
-		runConcurrentGets(b, set, ks, goroutines)
-		if st := set.Stats(); st.FallbackExclusive > 0 {
-			b.Fatalf("%d reads fell back: not measuring the lock-free path", st.FallbackExclusive)
-		}
-	})
-	b.Run("rwmutex", func(b *testing.B) {
-		set, ks := benchSet(b, keys, func(c *device.Config) { c.Index = device.IndexMultiLevel })
-		defer set.Close()
-		runConcurrentGets(b, set, ks, goroutines)
-		if st := set.Stats(); st.LockUpgrades > 0 {
-			b.Fatalf("%d reads upgraded: not measuring the RWMutex path", st.LockUpgrades)
-		}
-	})
-	b.Run("exclusive", func(b *testing.B) {
-		set, ks := benchSet(b, keys)
-		defer set.Close()
-		set.ForceExclusiveReads(true)
-		runConcurrentGets(b, set, ks, goroutines)
 	})
 }
 
@@ -221,9 +170,9 @@ func runConcurrentGets(b *testing.B, set *Set, ks [][]byte, g int) {
 	b.StopTimer()
 }
 
-// benchQueuedGets reproduces the pre-read-pool serving shape: one
-// worker goroutine owns the shard and every get crosses a channel to it
-// and back.
+// benchQueuedGets reproduces a worker-pool serving shape: one worker
+// goroutine owns the shard and every get crosses a channel to it and
+// back.
 func benchQueuedGets(b *testing.B, set *Set, ks [][]byte, g int) {
 	type req struct {
 		key   []byte

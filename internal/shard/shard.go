@@ -15,19 +15,22 @@
 //
 // Locking model: each shard carries a sync.RWMutex. Mutating commands
 // (Store, Delete, Iterate, checkpoint/restart/close, batches) hold the
-// write lock. Retrieve and Exist on an optimistic-capable device (RHIK)
-// take NO shard-level lock on the hot path: the device's
-// TryRetrieveOptimistic/TryExistOptimistic validate against per-table
-// seqlocks and epoch-pinned reclamation, returning ErrOptimisticRetry
-// when a concurrent writer invalidated the attempt (retried up to
+// write lock. Reads have two tiers. TryRetrieveAppend and TryExist run
+// the lock-free tier only: the device's TryRetrieveOptimistic /
+// TryExistOptimistic validate against per-table seqlocks and
+// epoch-pinned reclamation, returning ErrOptimisticRetry when a
+// concurrent writer invalidated the attempt (retried up to
 // maxOptimisticRetries) or ErrNeedExclusive when the lookup must mutate
-// index structure (cache miss, unmigrated bucket) — then the shard
-// falls back to the write lock and re-executes. Devices without an
-// optimistic surface (mlhash, lsm) keep the legacy shared tier: the
-// read lock plus TryRetrieveShared/TryExistShared, upgrading to the
-// write lock on refusal. Optimistic reads therefore run concurrently
-// with writers — not just with each other — mutating only atomics
-// (clock advances, counters, CLOCK ref bits) along the way.
+// index structure (cache miss, unmigrated bucket, value in an open page
+// buffer) or the index has no optimistic surface (mlhash, lsm).
+// RetrieveAppend and Exist try that tier first and re-execute under the
+// write lock on refusal. Lock-free reads run concurrently with writers,
+// mutating only atomics (clock advances, counters, CLOCK ref bits).
+//
+// With a WAL attached (walfront.go), every mutation goes through the
+// shard's group committer: TrySubmit enqueues one without waiting and
+// the committer calls back once it is applied and logged; Store and
+// Delete submit and wait.
 package shard
 
 import (
@@ -52,13 +55,12 @@ const maxOptimisticRetries = 3
 // Shard is one emulated device plus the host-side submission state for
 // its command stream. The RWMutex serializes commands on this shard
 // only; commands on different shards run concurrently, and read
-// commands on the same shard run lock-free (optimistic tier) or under
-// the read lock (legacy shared tier) when the index answers from DRAM.
+// commands on the same shard run lock-free when the index answers from
+// DRAM.
 type Shard struct {
 	mu   sync.RWMutex
 	dev  *device.Device
 	last sim.AtomicTime // completion of the previous synchronous command
-	opt  bool           // device supports the lock-free read tier
 
 	// log and commitCh are non-nil once AttachWAL has run: mutations are
 	// then journaled to the per-shard commit log, and the synchronous
@@ -66,9 +68,6 @@ type Shard struct {
 	// taking the shard lock themselves.
 	log      *wal.Log
 	commitCh chan *walReq
-
-	sharedReads  atomic.Int64 // reads served under the read lock (legacy tier)
-	lockUpgrades atomic.Int64 // legacy-tier reads that retried exclusively
 
 	optimisticReads   atomic.Int64 // reads served with no shard lock at all
 	optimisticRetries atomic.Int64 // lock-free attempts invalidated by a racing writer
@@ -84,8 +83,6 @@ type Set struct {
 	shards []*Shard
 	scheme index.SigScheme
 	shift  uint // 64 - log2(len(shards)); Lo >> shift selects the shard
-
-	forceExclusive atomic.Bool // route reads through the write lock
 
 	snapsOpen atomic.Int64 // open SetSnapshots
 	snapReads atomic.Int64 // point reads served through snapshots
@@ -112,7 +109,7 @@ func New(n int, cfg device.Config) (*Set, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.shards[i] = &Shard{dev: dev, opt: dev.SupportsOptimisticReads()}
+		s.shards[i] = &Shard{dev: dev}
 	}
 	s.scheme = s.shards[0].dev.Scheme()
 	return s, nil
@@ -123,11 +120,6 @@ func (s *Set) N() int { return len(s.shards) }
 
 // Shard returns shard i.
 func (s *Set) Shard(i int) *Shard { return s.shards[i] }
-
-// ForceExclusiveReads routes Retrieve/Exist through the write lock like
-// any mutation, disabling the shared fast path. Benchmark/experiment
-// knob for quantifying what reader concurrency buys.
-func (s *Set) ForceExclusiveReads(v bool) { s.forceExclusive.Store(v) }
 
 // RouteKey reports which shard owns key.
 func (s *Set) RouteKey(key []byte) int {
@@ -169,10 +161,9 @@ func (s *Set) Store(key, value []byte) error {
 	return nil
 }
 
-// Retrieve routes a synchronous get to the owning shard. DRAM-resident
-// lookups run under the shard's read lock, concurrently with other
-// reads; anything that would touch flash for metadata upgrades to the
-// write lock and re-executes.
+// Retrieve routes a synchronous get to the owning shard. It tries the
+// lock-free tier first and re-executes under the shard's write lock
+// when that tier refuses (see TryRetrieveAppend).
 func (s *Set) Retrieve(key []byte) ([]byte, error) {
 	v, err := s.RetrieveAppend(nil, key)
 	if err != nil {
@@ -186,60 +177,68 @@ func (s *Set) Retrieve(key []byte) ([]byte, error) {
 // On error dst is returned unchanged.
 func (s *Set) RetrieveAppend(dst, key []byte) ([]byte, error) {
 	sh := s.shardOf(key)
-	if !s.forceExclusive.Load() {
-		if sh.opt {
-			// Lock-free tier: no shard lock at all. ErrOptimisticRetry
-			// means a racing writer invalidated the attempt — try again
-			// up to the retry budget; ErrNeedExclusive means only the
-			// write lock can serve it (page-in, lazy migration, value
-			// still in a volatile buffer).
-			for attempt := 0; ; attempt++ {
-				v, done, err := sh.dev.TryRetrieveOptimistic(sh.last.Load(), key, dst)
-				if err == nil {
-					sh.last.AdvanceTo(done)
-					sh.optimisticReads.Add(1)
-					return v, nil
-				}
-				if errors.Is(err, index.ErrOptimisticRetry) {
-					sh.optimisticRetries.Add(1)
-					if attempt < maxOptimisticRetries {
-						continue
-					}
-					break
-				}
-				if errors.Is(err, index.ErrNeedExclusive) {
-					break
-				}
-				return dst, err
-			}
-			sh.fallbackExclusive.Add(1)
-		} else {
-			sh.mu.RLock()
-			v, done, err := sh.dev.TryRetrieveShared(sh.last.Load(), key, dst)
-			if err == nil {
-				sh.last.AdvanceTo(done)
-				sh.mu.RUnlock()
-				sh.sharedReads.Add(1)
-				return v, nil
-			}
-			sh.mu.RUnlock()
-			if !errors.Is(err, index.ErrNeedExclusive) {
-				return dst, err
-			}
-			// Lock upgrade: the lookup needs to restructure index state
-			// (page-in, lazy migration). No simulated time was charged, so
-			// re-executing exclusively repeats nothing.
-			sh.lockUpgrades.Add(1)
+	v, err := sh.tryRetrieve(dst, key)
+	if errors.Is(err, index.ErrNeedExclusive) {
+		err = sh.exclusive(func(at sim.Time) (done sim.Time, err error) {
+			v, done, err = sh.dev.RetrieveAppend(at, key, dst)
+			return done, err
+		})
+	}
+	return v, err
+}
+
+// TryRetrieveAppend is RetrieveAppend's lock-free tier alone. It
+// returns index.ErrNeedExclusive when only the shard's write lock can
+// serve the read: a page-in, a lazy migration, a value still in an open
+// page buffer, an index without an optimistic surface, or a writer that
+// kept invalidating the attempt. A refusal at the probe charges no
+// simulated time; RetrieveAppend then serves the read under the lock.
+func (s *Set) TryRetrieveAppend(dst, key []byte) ([]byte, error) {
+	return s.shardOf(key).tryRetrieve(dst, key)
+}
+
+// tryRetrieve runs a lock-free get, retrying it in place while a racing
+// writer invalidates it, up to maxOptimisticRetries; after that, or when
+// the device refuses, it returns index.ErrNeedExclusive.
+func (sh *Shard) tryRetrieve(dst, key []byte) ([]byte, error) {
+	for attempt := 0; ; attempt++ {
+		v, done, err := sh.dev.TryRetrieveOptimistic(sh.last.Load(), key, dst)
+		if err == nil {
+			sh.last.AdvanceTo(done)
+			sh.optimisticReads.Add(1)
+			return v, nil
+		}
+		if err = sh.retry(err, attempt); err != nil {
+			return dst, err
 		}
 	}
+}
+
+// retry accounts a failed lock-free attempt: nil means run it again;
+// otherwise the error to return, index.ErrNeedExclusive once the retry
+// budget is spent.
+func (sh *Shard) retry(err error, attempt int) error {
+	if !errors.Is(err, index.ErrOptimisticRetry) {
+		return err
+	}
+	sh.optimisticRetries.Add(1)
+	if attempt == maxOptimisticRetries {
+		return index.ErrNeedExclusive
+	}
+	return nil
+}
+
+// exclusive re-executes a read the lock-free tier refused, under the
+// shard's write lock.
+func (sh *Shard) exclusive(read func(at sim.Time) (sim.Time, error)) error {
+	sh.fallbackExclusive.Add(1)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	v, done, err := sh.dev.RetrieveAppend(sh.last.Load(), key, dst)
-	if err != nil {
-		return dst, err
+	done, err := read(sh.last.Load())
+	if err == nil {
+		sh.last.AdvanceTo(done)
 	}
-	sh.last.AdvanceTo(done)
-	return v, nil
+	return err
 }
 
 // Delete routes a synchronous delete to the owning shard, through the
@@ -261,56 +260,37 @@ func (s *Set) Delete(key []byte) error {
 }
 
 // Exist routes a synchronous membership check to the owning shard,
-// using the same optimistic-then-fallback (or shared-then-upgrade)
-// path as Retrieve.
+// using the same lock-free-then-locked path as Retrieve.
 func (s *Set) Exist(key []byte) (bool, error) {
 	sh := s.shardOf(key)
-	if !s.forceExclusive.Load() {
-		if sh.opt {
-			for attempt := 0; ; attempt++ {
-				ok, done, err := sh.dev.TryExistOptimistic(sh.last.Load(), key)
-				if err == nil {
-					sh.last.AdvanceTo(done)
-					sh.optimisticReads.Add(1)
-					return ok, nil
-				}
-				if errors.Is(err, index.ErrOptimisticRetry) {
-					sh.optimisticRetries.Add(1)
-					if attempt < maxOptimisticRetries {
-						continue
-					}
-					break
-				}
-				if errors.Is(err, index.ErrNeedExclusive) {
-					break
-				}
-				return false, err
-			}
-			sh.fallbackExclusive.Add(1)
-		} else {
-			sh.mu.RLock()
-			ok, done, err := sh.dev.TryExistShared(sh.last.Load(), key)
-			if err == nil {
-				sh.last.AdvanceTo(done)
-				sh.mu.RUnlock()
-				sh.sharedReads.Add(1)
-				return ok, nil
-			}
-			sh.mu.RUnlock()
-			if !errors.Is(err, index.ErrNeedExclusive) {
-				return false, err
-			}
-			sh.lockUpgrades.Add(1)
+	ok, err := sh.tryExist(key)
+	if errors.Is(err, index.ErrNeedExclusive) {
+		err = sh.exclusive(func(at sim.Time) (done sim.Time, err error) {
+			ok, done, err = sh.dev.Exist(at, key)
+			return done, err
+		})
+	}
+	return ok, err
+}
+
+// TryExist is Exist's lock-free tier alone, refusing with
+// index.ErrNeedExclusive exactly as TryRetrieveAppend does.
+func (s *Set) TryExist(key []byte) (bool, error) {
+	return s.shardOf(key).tryExist(key)
+}
+
+func (sh *Shard) tryExist(key []byte) (bool, error) {
+	for attempt := 0; ; attempt++ {
+		ok, done, err := sh.dev.TryExistOptimistic(sh.last.Load(), key)
+		if err == nil {
+			sh.last.AdvanceTo(done)
+			sh.optimisticReads.Add(1)
+			return ok, nil
+		}
+		if err = sh.retry(err, attempt); err != nil {
+			return false, err
 		}
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ok, done, err := sh.dev.Exist(sh.last.Load(), key)
-	if err != nil {
-		return false, err
-	}
-	sh.last.AdvanceTo(done)
-	return ok, nil
 }
 
 // Checkpoint makes accepted writes durable on every shard. Per-shard

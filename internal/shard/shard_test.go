@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -214,5 +215,104 @@ func TestCloseErrorsIdentifyShards(t *testing.T) {
 		if want := fmt.Sprintf("shard %d:", i); !strings.Contains(pe.Error(), want) {
 			t.Errorf("shard %d error does not name its shard: %v", i, pe)
 		}
+	}
+}
+
+// TestTryReadRefusesWhatLockedReadServes pins the split between the two
+// read tiers: TryRetrieveAppend and TryExist refuse with
+// ErrNeedExclusive, leaving every clock and counter as it was, exactly
+// the reads that RetrieveAppend and Exist then serve under the shard
+// lock — a value still in the open page buffer, a record table that must
+// be paged in, and any read of an index without a lock-free tier — and
+// serve everything else themselves.
+func TestTryReadRefusesWhatLockedReadServes(t *testing.T) {
+	const keys = 2000
+	cases := []struct {
+		name    string
+		cfg     device.Config
+		flush   bool  // checkpoint after loading: no value stays in a page buffer
+		probe   []int // the keys read
+		refused bool  // every probed key is refused, not just some
+	}{
+		{name: "resident", cfg: device.Config{Capacity: 64 << 20}, flush: true, probe: []int{0, 1, keys / 2, keys - 1}},
+		{name: "open-buffer", cfg: device.Config{Capacity: 64 << 20}, probe: []int{keys - 1}, refused: true},
+		{name: "page-in", cfg: device.Config{Capacity: 64 << 20, AnticipatedKeys: 1 << 14, CacheBudget: 1}, flush: true, probe: []int{0, 1, keys / 2, keys - 1}},
+		{name: "multi-level", cfg: device.Config{Capacity: 64 << 20, Index: device.IndexMultiLevel}, flush: true, probe: []int{0, keys - 1}, refused: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			set, err := New(1, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer set.Close()
+			// Large values fill data pages fast: the newest key sits in the
+			// still-open page, the earliest keys are long on flash.
+			val := bytes.Repeat([]byte("v"), 12<<10)
+			for i := 0; i < keys; i++ {
+				if err := set.Store(workload.KeyBytes(uint64(i)), val); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.flush {
+				if err := set.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sh := set.Shard(0)
+			type charges struct {
+				now, last            sim.Time
+				retrieves, exists    int64
+				meta                 uint64
+				flash                int64
+				opt, retry, fallback int64
+			}
+			charged := func() charges {
+				st := set.Stats()
+				return charges{sh.dev.Now(), sh.last.Load(), st.Dev.Retrieves, st.Dev.Exists,
+					st.MetaPerOp.Count(), st.Flash.Reads, st.OptimisticReads, st.OptimisticRetries, st.FallbackExclusive}
+			}
+			refusals := 0
+			for _, i := range tc.probe {
+				k := workload.KeyBytes(uint64(i))
+				before := charged()
+				v, err := set.TryRetrieveAppend(nil, k)
+				refused := errors.Is(err, index.ErrNeedExclusive)
+				if !refused && (err != nil || !bytes.Equal(v, val)) {
+					t.Fatalf("key %d: TryRetrieveAppend = (%d bytes, %v)", i, len(v), err)
+				}
+				if _, xerr := set.TryExist(k); errors.Is(xerr, index.ErrNeedExclusive) != refused {
+					t.Fatalf("key %d: TryRetrieveAppend refused=%v but TryExist returned %v", i, refused, xerr)
+				}
+				if tc.refused && !refused {
+					t.Fatalf("key %d: served lock-free, want refused", i)
+				}
+				if !refused {
+					continue
+				}
+				refusals++
+				if after := charged(); after != before {
+					t.Fatalf("key %d: refusals charged: %+v -> %+v", i, before, after)
+				}
+				v, err = set.RetrieveAppend(nil, k)
+				if err != nil || !bytes.Equal(v, val) {
+					t.Fatalf("key %d: RetrieveAppend = (%d bytes, %v)", i, len(v), err)
+				}
+				if got := charged().fallback - before.fallback; got != 1 {
+					t.Fatalf("key %d: %d reads took the lock after the refusal, want 1", i, got)
+				}
+				// The locked read may have cached the table, so Exist is
+				// served by whichever tier can.
+				if ok, err := set.Exist(k); err != nil || !ok {
+					t.Fatalf("key %d: Exist = %v, %v", i, ok, err)
+				}
+			}
+			if tc.name == "resident" && refusals > 0 {
+				t.Fatalf("%d resident reads refused", refusals)
+			}
+			if tc.name != "resident" && refusals == 0 {
+				t.Fatal("no read was refused: the case does not exercise the locked tier")
+			}
+		})
 	}
 }

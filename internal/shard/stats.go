@@ -27,19 +27,11 @@ type Stats struct {
 	Flash  nand.Stats
 	Scheme string
 
-	// SharedReads counts Retrieve/Exist commands served entirely under
-	// the shard read lock (legacy tier for indexes without an optimistic
-	// surface); LockUpgrades counts the ones that had to release it and
-	// re-execute exclusively (index page-in, pending incremental-resize
-	// migration).
-	SharedReads  int64
-	LockUpgrades int64
-
 	// OptimisticReads counts Retrieve/Exist commands served with no
 	// shard-level lock at all, validated by seqlock versions under an
 	// epoch pin. OptimisticRetries counts lock-free attempts a racing
 	// writer invalidated (each retried in place); FallbackExclusive
-	// counts reads that escalated to the write lock after exhausting
+	// counts reads that re-executed under the write lock after exhausting
 	// retries or hitting non-resident state. EpochPins is the device
 	// total of successful reader pins on the reclamation domain.
 	OptimisticReads   int64
@@ -115,8 +107,6 @@ func (s *Set) Stats() Stats {
 		out.Flash.ReadBytes += fs.ReadBytes
 		out.Flash.WriteBytes += fs.WriteBytes
 
-		out.SharedReads += sh.sharedReads.Load()
-		out.LockUpgrades += sh.lockUpgrades.Load()
 		out.OptimisticReads += sh.optimisticReads.Load()
 		out.OptimisticRetries += sh.optimisticRetries.Load()
 		out.FallbackExclusive += sh.fallbackExclusive.Load()

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
+	"time"
 
 	"repro/internal/device"
 	"repro/internal/sim"
@@ -18,12 +18,19 @@ import (
 // fsync (policy permitting) amortized over up to this many writers.
 const maxGroup = 256
 
-// walReq is one mutation waiting on a shard's committer.
+// ErrDeadline answers a submitted mutation whose deadline passed before
+// the committer reached it; the mutation was not applied.
+var ErrDeadline = errors.New("shard: mutation deadline passed before commit")
+
+// walReq is one mutation waiting on a shard's committer. The committer
+// owns key and value until it calls done.
 type walReq struct {
-	op    wal.Op
-	key   []byte
-	value []byte
-	err   chan error
+	op       wal.Op
+	key      []byte
+	value    []byte
+	deadline time.Time // zero: none
+	done     func(error)
+	err      error // the outcome, set by commitGroup
 }
 
 // AttachWAL opens (or recovers) a write-ahead log under root — one
@@ -65,6 +72,8 @@ func (s *Set) AttachWAL(root string, opts wal.Options) (wal.ReplayInfo, error) {
 			total.LastSeq = info.LastSeq
 		}
 		sh.log = l
+		// One full group can queue while the previous one commits;
+		// past that, TrySubmit reports the queue full.
 		sh.commitCh = make(chan *walReq, maxGroup)
 		s.walWG.Add(1)
 		go s.committer(sh)
@@ -117,26 +126,20 @@ func (sh *Shard) replay(r *wal.Record) error {
 }
 
 // committer is the shard's group-commit loop: it blocks for one waiting
-// mutation, drains whatever burst has accumulated behind it, and
-// commits the whole group under a single shard-lock acquisition and a
-// single log append. Under FsyncGroup it syncs once the burst drains —
-// the quiet moment after a storm of concurrent writers — rather than
-// per append.
+// mutation, drains whatever has queued behind it — submissions from
+// every caller meet in the one channel — and commits the whole group
+// under a single shard-lock acquisition and a single log append. Under
+// FsyncGroup it syncs once the queue drains, rather than per append.
 func (s *Set) committer(sh *Shard) {
 	defer s.walWG.Done()
 	reqs := make([]*walReq, 0, maxGroup)
+	recs := make([]wal.Record, 0, maxGroup)
 	for {
 		first, ok := <-sh.commitCh
 		if !ok {
 			return
 		}
 		reqs = append(reqs[:0], first)
-		// Concurrent writers that lost the race to this burst are
-		// typically microseconds behind; one scheduler yield lets their
-		// sends land, turning N near-simultaneous commits into one
-		// group instead of N singleton groups each paying a full lock
-		// acquisition and (policy permitting) fsync.
-		runtime.Gosched()
 	drain:
 		for len(reqs) < maxGroup {
 			select {
@@ -149,7 +152,9 @@ func (s *Set) committer(sh *Shard) {
 				break drain
 			}
 		}
-		sh.commitGroup(s, reqs)
+		recs = sh.commitGroup(s, reqs, recs[:0])
+		clear(reqs)
+		clear(recs)
 		if sh.log.Fsync() == wal.FsyncGroup && len(sh.commitCh) == 0 {
 			sh.log.Sync()
 		}
@@ -160,25 +165,28 @@ func (s *Set) committer(sh *Shard) {
 // mutation to the device, reserve sequence numbers for the ones that
 // succeeded (still under the lock, so sequence order is apply order),
 // then release the lock, append the group to the log in one write, and
-// acknowledge every waiter. Failed device operations are never logged —
-// replay must not resurrect a write the caller saw fail — and a log
-// append failure is reported to every writer whose record it carried.
-func (sh *Shard) commitGroup(s *Set, reqs []*walReq) {
-	recs := make([]wal.Record, 0, len(reqs))
-	logged := make([]*walReq, 0, len(reqs))
-
+// acknowledge every request. A request whose deadline has passed is
+// answered ErrDeadline without being applied. Failed device operations
+// are never logged — replay must not resurrect a write the caller saw
+// fail — and a log append failure is reported to every request whose
+// record it carried. recs is the committer's scratch, returned for
+// reuse.
+func (sh *Shard) commitGroup(s *Set, reqs []*walReq, recs []wal.Record) []wal.Record {
+	now := time.Now()
 	sh.mu.Lock()
 	for _, req := range reqs {
+		if !req.deadline.IsZero() && now.After(req.deadline) {
+			req.err = ErrDeadline
+			continue
+		}
 		var done sim.Time
-		var err error
 		switch req.op {
 		case wal.OpPut:
-			done, err = sh.dev.Store(sh.last.Load(), req.key, req.value)
+			done, req.err = sh.dev.Store(sh.last.Load(), req.key, req.value)
 		case wal.OpDelete:
-			done, err = sh.dev.Delete(sh.last.Load(), req.key)
+			done, req.err = sh.dev.Delete(sh.last.Load(), req.key)
 		}
-		if err != nil {
-			req.err <- err // acked now; never enters the logged set
+		if req.err != nil {
 			continue
 		}
 		sh.last.AdvanceTo(done)
@@ -188,7 +196,6 @@ func (sh *Shard) commitGroup(s *Set, reqs []*walReq) {
 			Key:   req.key,
 			Value: req.value,
 		})
-		logged = append(logged, req)
 	}
 	if len(recs) > 0 {
 		first := sh.log.ReserveSeqs(len(recs))
@@ -206,17 +213,41 @@ func (sh *Shard) commitGroup(s *Set, reqs []*walReq) {
 	if len(recs) > 0 {
 		aerr = sh.log.Append(recs)
 	}
-	for _, req := range logged {
-		req.err <- aerr
+	for _, req := range reqs {
+		if req.err == nil {
+			req.err = aerr // its record rode in this append
+		}
+		req.done(req.err)
+	}
+	return recs
+}
+
+// TrySubmit hands one mutation (wal.OpPut or wal.OpDelete) to the
+// owning shard's group committer without waiting, and reports false —
+// nothing enqueued, done never called — when the committer's queue is
+// full. Otherwise the committer calls done exactly once: with the
+// mutation's outcome after its group has been applied and logged
+// (durable per the fsync policy), or with ErrDeadline, unapplied, if
+// deadline (zero: none) passed before the committer reached it. key and
+// value must stay untouched until done runs. done runs on the
+// committer goroutine and must not block for long: the shard's next
+// group waits for it. Requires an attached WAL.
+func (s *Set) TrySubmit(op wal.Op, key, value []byte, deadline time.Time, done func(error)) bool {
+	req := &walReq{op: op, key: key, value: value, deadline: deadline, done: done}
+	select {
+	case s.shardOf(key).commitCh <- req:
+		return true
+	default:
+		return false
 	}
 }
 
 // commit routes one mutation through the shard's committer and waits
 // for the acknowledgment (durable per the configured fsync policy).
 func (sh *Shard) commit(op wal.Op, key, value []byte) error {
-	req := &walReq{op: op, key: key, value: value, err: make(chan error, 1)}
-	sh.commitCh <- req
-	return <-req.err
+	errc := make(chan error, 1)
+	sh.commitCh <- &walReq{op: op, key: key, value: value, done: func(err error) { errc <- err }}
+	return <-errc
 }
 
 // logBatch journals the successful mutations of an Apply sub-batch.

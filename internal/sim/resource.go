@@ -11,8 +11,8 @@ import "sync/atomic"
 // this is what makes async queue depth exploit die-level parallelism.
 //
 // Acquire is lock-free (a CAS loop over busyUntil) so concurrent readers —
-// which share a device under the shard read lock — can schedule flash and
-// host-link operations without a global mutex. Concurrent Acquires
+// which share a device on its lock-free read tier — can schedule flash
+// and host-link operations without a global mutex. Concurrent Acquires
 // linearize in CAS order; single-threaded behaviour is unchanged.
 type Resource struct {
 	name      string
