@@ -44,7 +44,6 @@ func main() {
 		keySize   = flag.Int("keysize", 16, "key size in bytes")
 		cache     = flag.Int64("cache", 10<<20, "index DRAM cache budget")
 		seed      = flag.Int64("seed", 42, "generator seed")
-		incr      = flag.Bool("incremental", false, "incremental (real-time) index resizing")
 		shards    = flag.Int("shards", 0, "device shards, power of two (0 = GOMAXPROCS)")
 		threads   = flag.Int("threads", 1, "concurrent client goroutines")
 		batchSize = flag.Int("batch", 512, "async submission batch size per thread")
@@ -52,10 +51,9 @@ func main() {
 	flag.Parse()
 
 	opts := rhik.Options{
-		Capacity:          *capacity,
-		CacheBudget:       *cache,
-		IncrementalResize: *incr,
-		Shards:            *shards,
+		Capacity:    *capacity,
+		CacheBudget: *cache,
+		Shards:      *shards,
 	}
 	switch *indexName {
 	case "rhik":

@@ -46,7 +46,6 @@ func main() {
 		capacity  = flag.Int64("capacity", 1<<30, "emulated capacity in bytes")
 		cache     = flag.Int64("cache", 10<<20, "index DRAM cache budget")
 		indexName = flag.String("index", "rhik", "index scheme: rhik, mlhash, lsm")
-		incr      = flag.Bool("incremental", false, "incremental (real-time) index resizing")
 		inflight  = flag.Int("inflight", 4096, "max admitted-but-unanswered requests before BUSY")
 		queue     = flag.Int("queue", 256, "per-shard worker queue depth before BUSY")
 		timeout   = flag.Duration("timeout", 0, "per-request queue deadline (0 = none)")
@@ -83,7 +82,6 @@ func main() {
 		Capacity:          *capacity,
 		CacheBudget:       *cache,
 		Shards:            *shards,
-		IncrementalResize: *incr,
 		IteratorPrefixLen: *prefixLen,
 		ValueCacheBudget:  *valCache,
 		WAL: rhik.WALOptions{

@@ -25,10 +25,10 @@ type ResizeModeRow struct {
 }
 
 // AblationResizeMode quantifies the paper's §VI "real-time index
-// scaling" discussion: the default stop-the-world migration concentrates
-// its cost into a few commands (huge tail latency), while incremental
-// migration bounds per-command work at the price of a longer total
-// migration window.
+// scaling" discussion: the paper's stop-the-world migration (HaltResize)
+// concentrates its cost into a few commands (huge tail latency), while
+// the default incremental migration bounds per-command work at the
+// price of a longer total migration window.
 func AblationResizeMode(w io.Writer, s Scale) ([]ResizeModeRow, error) {
 	keys := s.div64(2_000_000, 80_000)
 	fmt.Fprintf(w, "Ablation — resize strategy during growth to %d keys (store latency, simulated)\n", keys)
@@ -37,17 +37,17 @@ func AblationResizeMode(w io.Writer, s Scale) ([]ResizeModeRow, error) {
 
 	var rows []ResizeModeRow
 	for _, mode := range []struct {
-		name        string
-		incremental bool
+		name string
+		halt bool
 	}{
-		{"stop-the-world", false},
-		{"incremental", true},
+		{"stop-the-world", true},
+		{"incremental", false},
 	} {
 		dev, err := device.Open(device.Config{
-			Capacity:          keys*64 + (128 << 20),
-			Index:             device.IndexRHIK,
-			CacheBudget:       64 << 20,
-			IncrementalResize: mode.incremental,
+			Capacity:    keys*64 + (128 << 20),
+			Index:       device.IndexRHIK,
+			CacheBudget: 64 << 20,
+			HaltResize:  mode.halt,
 		})
 		if err != nil {
 			return nil, err

@@ -30,6 +30,7 @@ func Fig7(w io.Writer, s Scale) ([]Fig7Row, error) {
 		Capacity:    capacity,
 		Index:       device.IndexRHIK,
 		CacheBudget: 64 << 20, // generous: isolate migration cost from cache thrash
+		HaltResize:  true,     // the paper measures the halted migration
 	})
 	if err != nil {
 		return nil, err

@@ -5,28 +5,33 @@ import (
 	"repro/internal/sim"
 )
 
-// migration is the in-flight state of an incremental re-configuration:
-// the paper's "real-time index scaling" future-work direction (§VI).
-// Instead of halting the submission queue and migrating every bucket at
-// once, the directory is swapped immediately and buckets migrate lazily:
-// each operation migrates the bucket it touches (the paper's suggested
-// "hyper-local scaling") plus a small background quota, so the
-// per-command cost is bounded and tail latency stays flat.
+// migration is the in-flight state of a re-configuration. The directory
+// is swapped immediately and buckets migrate lazily: each operation
+// migrates the bucket it touches (the paper's suggested "hyper-local
+// scaling", §VI) plus a small background quota, so the per-command cost
+// is bounded and tail latency stays flat. The paper's stop-the-world
+// doubling (§IV-A2) is the same migration drained inside the halt
+// (HaltResize).
 type migration struct {
 	oldGen    *generation
 	migrated  []bool
-	cursor    uint64
+	cursor    uint64 // every old bucket below it is migrated
 	oldD      int
 	started   sim.Time
 	keys      int64
 	remaining int
 }
 
-// Incremental reports whether lazy re-configuration is enabled.
-func (r *RHIK) Incremental() bool { return r.cfg.IncrementalResize }
-
-// Migrating reports whether an incremental migration is in flight.
-func (r *RHIK) Migrating() bool { return r.mig != nil }
+// PendingSplits reports the old buckets an in-flight migration has left
+// to split and how many one index operation may split: its background
+// quota plus the bucket its key maps to. Both are zero when no
+// migration is in flight.
+func (r *RHIK) PendingSplits() (left, perOp int) {
+	if r.mig == nil {
+		return 0, 0
+	}
+	return r.mig.remaining, r.cfg.MigrateStepBuckets + 1
+}
 
 // startIncrementalResize swaps in a doubled directory and arms lazy
 // migration. It performs no bucket work itself, so the submission queue
@@ -35,10 +40,8 @@ func (r *RHIK) startIncrementalResize() error {
 	// A forced re-configuration (collision-driven, not occupancy-driven)
 	// can arrive while a migration is in flight; finish it first so
 	// oldDirs is always a complete generation.
-	if r.mig != nil {
-		if err := r.drainMigration(); err != nil {
-			return err
-		}
+	if err := r.drainMigration(); err != nil {
+		return err
 	}
 	oldG := r.g()
 	oldD := len(oldG.dirs)
@@ -55,7 +58,7 @@ func (r *RHIK) startIncrementalResize() error {
 	// Publish the doubled generation before any bucket migrates: readers
 	// that load it see nil resident slots for unmigrated buckets and
 	// escalate; readers still holding the old generation keep validating
-	// against it until migrateBucket unpublishes their bucket.
+	// against it until splitBucket unpublishes their bucket.
 	r.gen.Store(newG)
 	r.cache = newG.cache
 	r.dBits++
@@ -67,23 +70,14 @@ func (r *RHIK) startIncrementalResize() error {
 // migrate the touched bucket if needed, plus a background quota so the
 // migration completes even over skewed workloads.
 func (r *RHIK) prepare(sig index.Sig) error {
-	if r.mig == nil {
-		return nil
-	}
-	quota := r.cfg.MigrateStepBuckets
-	for quota > 0 && r.mig != nil {
-		b := r.mig.cursor
-		if b >= uint64(r.mig.oldD) {
-			break
-		}
-		r.mig.cursor++
-		if r.mig.migrated[b] {
-			continue
-		}
-		if err := r.migrateBucket(b); err != nil {
+	for quota := r.cfg.MigrateStepBuckets; quota > 0 && r.mig != nil; {
+		split, err := r.advance()
+		if err != nil {
 			return err
 		}
-		quota--
+		if split {
+			quota--
+		}
 	}
 	if r.mig == nil {
 		return nil
@@ -95,11 +89,27 @@ func (r *RHIK) prepare(sig index.Sig) error {
 	return nil
 }
 
+// advance moves the migration cursor past the lowest old bucket left,
+// splitting it first unless an operation already migrated it on touch.
+// It reports whether it split a bucket.
+func (r *RHIK) advance() (bool, error) {
+	mig := r.mig
+	b := mig.cursor
+	split := !mig.migrated[b]
+	if split {
+		if err := r.migrateBucket(b); err != nil {
+			return false, err
+		}
+	}
+	mig.cursor++
+	return split, nil
+}
+
 // migrateBucket moves one old-generation bucket into the doubled
 // directory (at most one flash read, like any bucket access).
 func (r *RHIK) migrateBucket(b uint64) error {
 	mig := r.mig
-	if err := r.splitBucket(mig.oldGen, r.g(), b, "incremental"); err != nil {
+	if err := r.splitBucket(mig.oldGen, r.g(), b); err != nil {
 		return err
 	}
 	mig.migrated[b] = true
@@ -121,25 +131,12 @@ func (r *RHIK) finishMigration() {
 	})
 }
 
-// drainMigration migrates every remaining bucket (used before flushes,
-// checkpoints, and explicit Resize calls so state is single-generation).
+// drainMigration migrates every remaining bucket in cursor order: the
+// halt of a stop-the-world doubling, and what flushes, checkpoints and
+// enumerations run first so state is single-generation.
 func (r *RHIK) drainMigration() error {
 	for r.mig != nil {
-		// Find the next unmigrated bucket.
-		b := uint64(0)
-		found := false
-		for i, done := range r.mig.migrated {
-			if !done {
-				b = uint64(i)
-				found = true
-				break
-			}
-		}
-		if !found {
-			r.finishMigration()
-			break
-		}
-		if err := r.migrateBucket(b); err != nil {
+		if _, err := r.advance(); err != nil {
 			return err
 		}
 	}

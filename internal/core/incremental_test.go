@@ -9,14 +9,14 @@ import (
 	"repro/internal/sim"
 )
 
-func newIncrementalRHIK(t *testing.T, cfg Config) (*RHIK, *memEnv) {
-	t.Helper()
-	cfg.IncrementalResize = true
-	return newTestRHIK(t, cfg)
+// migrating reports whether a migration is in flight.
+func migrating(r *RHIK) bool {
+	left, _ := r.PendingSplits()
+	return left > 0
 }
 
 func TestIncrementalResizeStartsFast(t *testing.T) {
-	r, env := newIncrementalRHIK(t, Config{PageSize: 1024})
+	r, env := newTestRHIK(t, Config{PageSize: 1024})
 	rng := rand.New(rand.NewSource(1))
 	for !r.NeedsResize() {
 		r.Insert(sig64(rng.Uint64()), 1)
@@ -25,7 +25,7 @@ func TestIncrementalResizeStartsFast(t *testing.T) {
 	if err := r.Resize(); err != nil {
 		t.Fatal(err)
 	}
-	if !r.Migrating() {
+	if !migrating(r) {
 		t.Fatal("incremental resize did not arm a migration")
 	}
 	if took := env.Now().Sub(before); took > sim.Millisecond {
@@ -37,7 +37,7 @@ func TestIncrementalResizeStartsFast(t *testing.T) {
 }
 
 func TestIncrementalMigrationPreservesRecords(t *testing.T) {
-	r, _ := newIncrementalRHIK(t, Config{PageSize: 512})
+	r, _ := newTestRHIK(t, Config{PageSize: 512})
 	rng := rand.New(rand.NewSource(2))
 	inserted := map[uint64]uint64{}
 	for i := 0; i < 3000; i++ {
@@ -66,7 +66,7 @@ func TestIncrementalMigrationPreservesRecords(t *testing.T) {
 	if err := r.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if r.Migrating() {
+	if migrating(r) {
 		t.Fatal("Flush did not drain migration")
 	}
 	if len(r.ResizeEvents()) == 0 {
@@ -75,7 +75,7 @@ func TestIncrementalMigrationPreservesRecords(t *testing.T) {
 }
 
 func TestIncrementalDeletesAndUpdatesDuringMigration(t *testing.T) {
-	r, _ := newIncrementalRHIK(t, Config{PageSize: 512, MigrateStepBuckets: 1})
+	r, _ := newTestRHIK(t, Config{PageSize: 512, MigrateStepBuckets: 1})
 	rng := rand.New(rand.NewSource(3))
 	oracle := map[uint64]uint64{}
 	keys := []uint64{}
@@ -127,7 +127,7 @@ func TestIncrementalDeletesAndUpdatesDuringMigration(t *testing.T) {
 }
 
 func TestIncrementalRelocateOldGenerationPage(t *testing.T) {
-	r, env := newIncrementalRHIK(t, Config{PageSize: 512, MigrateStepBuckets: 1})
+	r, env := newTestRHIK(t, Config{PageSize: 512, MigrateStepBuckets: 1})
 	rng := rand.New(rand.NewSource(4))
 	for !r.NeedsResize() {
 		r.Insert(sig64(rng.Uint64()), 1)
@@ -138,7 +138,7 @@ func TestIncrementalRelocateOldGenerationPage(t *testing.T) {
 	if err := r.Resize(); err != nil {
 		t.Fatal(err)
 	}
-	if !r.Migrating() {
+	if !migrating(r) {
 		t.Fatal("not migrating")
 	}
 	// Relocate an old-generation page mid-migration: it must migrate the
@@ -165,7 +165,7 @@ func TestIncrementalRelocateOldGenerationPage(t *testing.T) {
 func TestIncrementalCheckpointConsistency(t *testing.T) {
 	// A checkpoint (Flush + EncodeState) taken mid-migration must
 	// restore to a complete single-generation index.
-	r, env := newIncrementalRHIK(t, Config{PageSize: 512})
+	r, env := newTestRHIK(t, Config{PageSize: 512})
 	rng := rand.New(rand.NewSource(5))
 	inserted := map[uint64]uint64{}
 	for i := 0; len(inserted) < 2000; i++ {
@@ -182,7 +182,7 @@ func TestIncrementalCheckpointConsistency(t *testing.T) {
 	}
 	state := r.EncodeState()
 
-	r2, err := New(Config{PageSize: 512, IncrementalResize: true}, env)
+	r2, err := New(Config{PageSize: 512}, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,9 +201,9 @@ func TestIncrementalMaxOpCostBounded(t *testing.T) {
 	// The point of incremental resizing: no single operation pays for a
 	// full migration. Compare the worst per-op time around the growth of
 	// a large index in both modes.
-	worst := func(incremental bool) sim.Duration {
+	worst := func(halt bool) sim.Duration {
 		env := newMemEnv()
-		cfg := Config{PageSize: 4096, AnticipatedKeys: 20000, IncrementalResize: incremental}
+		cfg := Config{PageSize: 4096, AnticipatedKeys: 20000, HaltResize: halt}
 		r, err := New(cfg, env)
 		if err != nil {
 			t.Fatal(err)
@@ -227,9 +227,55 @@ func TestIncrementalMaxOpCostBounded(t *testing.T) {
 		}
 		return worst
 	}
-	halt := worst(false)
-	incr := worst(true)
+	halt := worst(true)
+	incr := worst(false)
 	if incr*4 > halt {
 		t.Fatalf("incremental worst op %v not well below stop-the-world %v", incr, halt)
+	}
+}
+
+// TestHaltAndIncrementalAgree: the halt is the same migration drained
+// inside Resize, so the same seeded inserts give the same records, the
+// same directory and the same number of doublings either way.
+func TestHaltAndIncrementalAgree(t *testing.T) {
+	type record struct{ lo, hi, rp uint64 }
+	// grow inserts n seeded records, or with n < 0 as many as it takes to
+	// stop past 4000 with a migration in flight, and reports the count.
+	grow := func(halt bool, n int) (map[record]bool, int, int, int) {
+		r, _ := newTestRHIK(t, Config{PageSize: 512, CacheBudget: 8 << 10, HaltResize: halt})
+		rng := rand.New(rand.NewSource(9))
+		i := 0
+		for ; n < 0 && (i < 4000 || !migrating(r)) || i < n; i++ {
+			if _, _, err := r.Insert(sig64(rng.Uint64()), uint64(i+1)); err != nil && !errors.Is(err, index.ErrCollision) {
+				t.Fatal(err)
+			}
+			if r.NeedsResize() {
+				if err := r.Resize(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		recs := map[record]bool{}
+		if err := r.RangeRecords(func(lo, hi, rp uint64) bool {
+			recs[record{lo, hi, rp}] = true
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return recs, r.DirEntries(), len(r.ResizeEvents()), i
+	}
+	recs, d, n, inserts := grow(false, -1)
+	haltRecs, haltD, haltN, _ := grow(true, inserts)
+	t.Logf("%d inserts: %d records, D=%d after %d doublings", inserts, len(recs), d, n)
+	if d != haltD || n != haltN {
+		t.Fatalf("default: D=%d after %d doublings; HaltResize: D=%d after %d", d, n, haltD, haltN)
+	}
+	if len(recs) != len(haltRecs) {
+		t.Fatalf("default holds %d records, HaltResize %d", len(recs), len(haltRecs))
+	}
+	for rec := range haltRecs {
+		if !recs[rec] {
+			t.Fatalf("record %+v missing from the default run", rec)
+		}
 	}
 }

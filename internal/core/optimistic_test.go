@@ -76,7 +76,7 @@ func TestOptimisticProbePrecision(t *testing.T) {
 // fail revalidation, and a fresh probe must find the record in the new
 // generation at the same record pointer.
 func TestOptimisticProbeInvalidatedByResize(t *testing.T) {
-	r, _, _ := optRHIK(t, Config{PageSize: 1024})
+	r, _, _ := optRHIK(t, Config{PageSize: 1024, HaltResize: true})
 	rng := rand.New(rand.NewSource(11))
 	probeSig := sig64(rng.Uint64())
 	if _, _, err := r.Insert(probeSig, 42); err != nil {
@@ -155,7 +155,7 @@ func TestOptimisticProbeInvalidatedByEviction(t *testing.T) {
 // migrates and publishes the bucket, probes go lock-free again at the
 // same record pointer.
 func TestOptimisticUnmigratedBucketEscalates(t *testing.T) {
-	r, _, _ := optRHIK(t, Config{PageSize: 1024, IncrementalResize: true})
+	r, _, _ := optRHIK(t, Config{PageSize: 1024})
 	rng := rand.New(rand.NewSource(12))
 	probeSig := sig64(rng.Uint64())
 	if _, _, err := r.Insert(probeSig, 42); err != nil {
@@ -171,7 +171,7 @@ func TestOptimisticUnmigratedBucketEscalates(t *testing.T) {
 	if err := r.Resize(); err != nil {
 		t.Fatal(err)
 	}
-	if !r.Migrating() {
+	if !migrating(r) {
 		t.Fatal("incremental resize did not arm a migration")
 	}
 	// The swap alone moves no records: the old-generation probe is still

@@ -8,9 +8,9 @@ import (
 )
 
 // NeedsResize implements index.Resizer: true once total occupancy reaches
-// the configured threshold (80 % by default, §IV-A2). While an
-// incremental migration is in flight the index is already growing, so
-// another resize never starts.
+// the configured threshold (80 % by default, §IV-A2). While a migration
+// is in flight the index is already growing, so another resize never
+// starts.
 func (r *RHIK) NeedsResize() bool {
 	if r.mig != nil {
 		return false
@@ -24,43 +24,22 @@ func (r *RHIK) ResizeEvents() []index.ResizeEvent { return r.resizes }
 // Resize doubles the index (§IV-A2): the directory gains one bit, the
 // record layer gains a second table per old bucket, and every record
 // migrates using only its stored key signature — the KV pairs on flash
-// are never read. The device halts the submission queue around this
-// call, so the measured duration is the paper's "resizing time" (Fig. 7).
+// are never read. The doubled directory is published at once and its
+// buckets migrate as operations touch them; with HaltResize the
+// migration drains here, inside the device's submission-queue halt, and
+// its duration is the paper's "resizing time" (Fig. 7).
 func (r *RHIK) Resize() error {
 	r.enter()
 	defer r.exit()
-	if r.cfg.IncrementalResize {
-		return r.startIncrementalResize()
+	if err := r.startIncrementalResize(); err != nil {
+		return err
 	}
-	start := r.env.Now()
-	keysBefore := r.n
-
-	// The new generation is private until the swap below, so optimistic
-	// readers keep validating against the old generation: a bucket they
-	// probe is either untouched (the read linearizes before the resize)
-	// or already unpublished/poisoned (the read fails validation and
-	// escalates).
-	oldG := r.g()
-	newG := newGeneration(2 * len(oldG.dirs))
-	newG.cache = r.newCache(newG)
-	for b := range oldG.dirs {
-		if err := r.splitBucket(oldG, newG, uint64(b), "resize"); err != nil {
+	if r.cfg.HaltResize {
+		if err := r.drainMigration(); err != nil {
 			return err
 		}
 	}
-	r.gen.Store(newG)
-	r.cache = newG.cache
-	r.dBits++
-
-	if err := r.checkIO(); err != nil {
-		return err
-	}
-	r.resizes = append(r.resizes, index.ResizeEvent{
-		KeysBefore:  keysBefore,
-		NewCapacity: r.Capacity(),
-		Took:        r.env.Now().Sub(start),
-	})
-	return nil
+	return r.checkIO()
 }
 
 // splitBucket moves old bucket b's records into generation g, whose
@@ -71,8 +50,7 @@ func (r *RHIK) Resize() error {
 // half-moved bucket — or read from its page, at most one flash read like
 // any bucket access. A half that ends up empty needs no flash presence
 // and is neither cached nor persisted. Old's page for b is superseded.
-// what names the caller in errors.
-func (r *RHIK) splitBucket(old, g *generation, b uint64, what string) error {
+func (r *RHIK) splitBucket(old, g *generation, b uint64) error {
 	oldD := uint64(len(old.dirs))
 	var src *tableEntry
 	if e, ok := old.cache.Remove(b); ok {
@@ -82,12 +60,12 @@ func (r *RHIK) splitBucket(old, g *generation, b uint64, what string) error {
 	} else if old.dirs[b].has {
 		data, err := r.env.ReadPage(old.dirs[b].ppa)
 		if err != nil {
-			return fmt.Errorf("core: %s read bucket %d: %w", what, b, err)
+			return fmt.Errorf("core: migration read bucket %d: %w", b, err)
 		}
 		t := r.takeTable()
 		if err := t.DecodeFrom(data); err != nil {
 			r.recycle(t)
-			return fmt.Errorf("core: %s decode bucket %d: %w", what, b, err)
+			return fmt.Errorf("core: migration decode bucket %d: %w", b, err)
 		}
 		src = r.takeEntry(t)
 	}
@@ -102,7 +80,7 @@ func (r *RHIK) splitBucket(old, g *generation, b uint64, what string) error {
 				dst = high
 			}
 			if _, err = dst.table.PutWide(lo, hi, rp); err != nil {
-				err = fmt.Errorf("core: %s migration collision in bucket %d: %w", what, b, err)
+				err = fmt.Errorf("core: migration collision in bucket %d: %w", b, err)
 				return false
 			}
 			return true

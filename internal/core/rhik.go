@@ -12,7 +12,10 @@
 // default), the index re-configures: the directory doubles, each old
 // bucket's records split between two new buckets using only their stored
 // key signatures — the KV pairs on flash are never touched — and the old
-// index pages are invalidated for garbage collection (§IV-A2).
+// index pages are invalidated for garbage collection (§IV-A2). The
+// doubled directory is published at once and its buckets split as
+// operations touch them (incremental.go); the paper's stop-the-world
+// doubling is that migration drained inside the halt.
 package core
 
 import (
@@ -53,15 +56,14 @@ type Config struct {
 	// record during a resize migration (signature re-use makes this a
 	// DRAM-speed operation; flash I/O is charged separately).
 	MigrateCPUPerRecord sim.Duration
-	// IncrementalResize enables lazy ("real-time") re-configuration: the
+	// HaltResize drains each re-configuration's migration inside Resize,
+	// the paper's stop-the-world doubling (§IV-A2). By default the
 	// directory doubles immediately and buckets migrate as they are
 	// touched, plus MigrateStepBuckets per operation in the background —
-	// the paper's §VI future-work direction, implemented here so the
-	// tail-latency trade-off can be measured against the default
-	// stop-the-world migration.
-	IncrementalResize bool
+	// the paper's §VI "real-time index scaling" direction.
+	HaltResize bool
 	// MigrateStepBuckets is the background migration quota per operation
-	// in incremental mode (default 4).
+	// (default 4).
 	MigrateStepBuckets int
 	// Reclaim, when set, defers pool reuse of record tables that were
 	// reader-reachable until the epoch domain proves no optimistic reader
@@ -199,7 +201,7 @@ type RHIK struct {
 	epool []*tableEntry              // recycled cache entries; keeps misses alloc-free
 	wbuf  []byte                     // page-image buffer every write-back encodes into
 	scan  []uint64                   // PrefixRecords' filter scratch, so its result is one exact-size copy
-	mig   *migration                 // in-flight incremental re-configuration
+	mig   *migration                 // in-flight re-configuration
 	busy  bool                       // an exported operation is running; see enter
 
 	n          int64 // total records
@@ -632,7 +634,7 @@ func (r *RHIK) PeekOptimistic(sig index.Sig) (OptProbe, index.OptStatus) {
 	ref := slot.Load()
 	if ref == nil {
 		// Not DRAM-resident in this generation: either a cache miss or a
-		// bucket the incremental migration has not produced yet. Both need
+		// bucket the migration has not produced yet. Both need
 		// the exclusive path (flash load / migration step).
 		return OptProbe{}, index.OptNeedExclusive
 	}
@@ -672,8 +674,8 @@ func (r *RHIK) CommitOptimistic(p OptProbe) {
 func (r *RHIK) OptimisticLookupCost() sim.Duration { return r.cfg.CPUPerOp }
 
 // Flush writes every dirty cached table to flash. Entries stay cached.
-// An in-flight incremental migration is drained first so the persisted
-// state is single-generation.
+// An in-flight migration is drained first so the persisted state is
+// single-generation.
 func (r *RHIK) Flush() error {
 	r.enter()
 	defer r.exit()

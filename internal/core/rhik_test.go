@@ -238,7 +238,7 @@ func TestResizeDoesNotReadKVPairs(t *testing.T) {
 }
 
 func TestResizeInvalidatesOldPages(t *testing.T) {
-	r, env := newTestRHIK(t, Config{PageSize: 1024})
+	r, env := newTestRHIK(t, Config{PageSize: 1024, HaltResize: true})
 	rng := rand.New(rand.NewSource(3))
 	for r.Len() < 50 {
 		r.Insert(sig64(rng.Uint64()), 1)

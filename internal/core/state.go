@@ -101,7 +101,7 @@ func (r *RHIK) Owner(p nand.PPA) (uint64, bool) {
 }
 
 // RangeRecords implements index.RecordEnumerator: every live record
-// with its full signature, bucket by bucket. Any in-flight incremental
+// with its full signature, bucket by bucket. Any in-flight
 // re-configuration is drained first so each record appears exactly once
 // under the current directory generation. Buckets that are neither
 // cached nor backed by a flash page hold no records and are skipped;
@@ -110,10 +110,8 @@ func (r *RHIK) Owner(p nand.PPA) (uint64, bool) {
 func (r *RHIK) RangeRecords(f func(lo, hi, rp uint64) bool) error {
 	r.enter()
 	defer r.exit()
-	if r.mig != nil {
-		if err := r.drainMigration(); err != nil {
-			return err
-		}
+	if err := r.drainMigration(); err != nil {
+		return err
 	}
 	g := r.g()
 	stop := false

@@ -126,10 +126,12 @@ type Config struct {
 	// DisableAutoResize stops the device from resizing RHIK when its
 	// occupancy threshold is crossed (used by fixed-index experiments).
 	DisableAutoResize bool
-	// IncrementalResize enables RHIK's lazy re-configuration (the
-	// paper's "real-time index scaling" future work) instead of the
-	// default stop-the-world migration.
-	IncrementalResize bool
+	// HaltResize drains each RHIK re-configuration inside the
+	// submission-queue halt, the paper's stop-the-world doubling
+	// (§IV-A2). By default the doubled directory's buckets migrate as
+	// later commands touch them, the paper's "real-time index scaling"
+	// (§VI).
+	HaltResize bool
 
 	// ValueCacheBudget, when positive, enables the hot-value DRAM tier:
 	// a byte-budgeted cache of immutable key→value copies consulted by
@@ -429,7 +431,7 @@ func (d *Device) buildIndex() (index.Index, error) {
 			AnticipatedKeys:    d.cfg.AnticipatedKeys,
 			OccupancyThreshold: d.cfg.OccupancyThreshold,
 			CacheBudget:        d.cfg.CacheBudget,
-			IncrementalResize:  d.cfg.IncrementalResize,
+			HaltResize:         d.cfg.HaltResize,
 			Reclaim:            d.reclaim,
 		}, d.env)
 	case IndexMultiLevel:

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/ftl"
 	"repro/internal/index"
 	"repro/internal/nand"
@@ -169,7 +170,7 @@ func TestKeyValidation(t *testing.T) {
 }
 
 func TestManyKeysWithResizes(t *testing.T) {
-	d := openSmall(t, nil)
+	d := openSmall(t, func(c *Config) { c.HaltResize = true })
 	const n = 3000
 	for i := 0; i < n; i++ {
 		mustStore(t, d, key(i), val(i, 24))
@@ -734,7 +735,7 @@ func TestIndexZoneGCReadsOnlyValidPages(t *testing.T) {
 }
 
 func TestIncrementalResizeDevice(t *testing.T) {
-	d := openSmall(t, func(c *Config) { c.IncrementalResize = true })
+	d := openSmall(t, nil)
 	const n = 3000
 	for i := 0; i < n; i++ {
 		mustStore(t, d, key(i), val(i, 16))
@@ -759,6 +760,91 @@ func TestIncrementalResizeDevice(t *testing.T) {
 		if got := mustGet(t, d, key(i)); !bytes.Equal(got, val(i, 16)) {
 			t.Fatalf("key %d lost after incremental growth + recovery", i)
 		}
+	}
+}
+
+// migrating reports whether r has a migration in flight.
+func migrating(r *core.RHIK) bool {
+	left, _ := r.PendingSplits()
+	return left > 0
+}
+
+// withMigrateStep replaces a fresh device's RHIK with one that splits
+// step buckets in the background per index operation.
+func withMigrateStep(t *testing.T, d *Device, step int) *core.RHIK {
+	t.Helper()
+	r, err := core.New(core.Config{
+		PageSize:           d.Geometry().PageSize,
+		SigScheme:          d.scheme,
+		CacheBudget:        d.cfg.CacheBudget,
+		MigrateStepBuckets: step,
+		Reclaim:            d.reclaim,
+	}, d.env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.idx = r
+	d.optIdx.Store(r)
+	return r
+}
+
+// TestMigrationSplitsReserved pins splitPages: every command that runs
+// while a migration is in flight reserves the index pages its bucket
+// splits can write back, so none of them leaves the free pool below the
+// low-water mark. The geometry makes that bound bite: 2 KiB pages hold
+// 128-record tables, so the index grows through many buckets; eight
+// pages a block mean a few write-backs open a new index block; a cache
+// of four tables means splits evict dirty tables. Reserving one
+// write-back a point command instead, a command of this run leaves five
+// free blocks.
+func TestMigrationSplitsReserved(t *testing.T) {
+	d := openSmall(t, func(c *Config) {
+		c.NAND.PageSize = 2 << 10
+		c.NAND.BlocksPerDie = 64
+		c.CacheBudget = 4 * 2 << 10
+		c.StripeWidth = 1
+	})
+	r := withMigrateStep(t, d, 1)
+	rng := rand.New(rand.NewSource(7))
+	var midMigration, gcRuns int64
+	run := func(i int, cmd func() error) {
+		t.Helper()
+		during, gcBefore := migrating(r), d.Stats().GCRuns
+		if err := cmd(); err != nil && !errors.Is(err, ErrNotFound) && !errors.Is(err, index.ErrCollision) {
+			t.Fatalf("command %d: %v", i, err)
+		}
+		if !during {
+			return
+		}
+		midMigration++
+		gcRuns += d.Stats().GCRuns - gcBefore
+		if free := d.mgr.FreeBlocks(); free < d.cfg.GCLowWater {
+			t.Fatalf("command %d of a migration left %d free blocks, low water %d", i, free, d.cfg.GCLowWater)
+		}
+	}
+	// Rounds of 100 small inserts, which grow the index, then 100
+	// seven-page overwrites of eight hot keys, which keep collection at
+	// the low-water mark. A block the overwrites filled holds one pair,
+	// so collecting it costs one validating lookup's splits; with
+	// smaller values a collection's own splits would write back more
+	// index pages than it frees.
+	for i := 0; i < 7000; i++ {
+		run(i, func() error { _, err := d.Store(d.Now(), key(i), val(i, 16)); return err })
+		if i%100 != 99 {
+			continue
+		}
+		for j := 0; j < 100; j++ {
+			run(i, func() error {
+				_, err := d.Store(d.Now(), []byte(fmt.Sprintf("hot-%d", j%8)), val(j, 14000))
+				return err
+			})
+		}
+		run(i, func() error { _, _, err := d.Retrieve(d.Now(), key(rng.Intn(i+1))); return err })
+		run(i, func() error { _, err := d.Delete(d.Now(), key(rng.Intn(i+1))); return err })
+	}
+	t.Logf("%d doublings, %d commands mid-migration, %d collections among them", len(d.ResizeEvents()), midMigration, gcRuns)
+	if len(d.ResizeEvents()) < 3 || midMigration < 20 || gcRuns < 20 {
+		t.Fatal("the case went unexercised")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/ftl"
 	"repro/internal/index"
 	"repro/internal/layout"
@@ -63,29 +64,61 @@ func (d *Device) indexBlocks(pages int) int {
 }
 
 // A point command — one key's Store, Delete, Retrieve or Exist — can
-// write back one index page: the dirty table its page-in evicts. The
-// whole-index operations below are sized from the directory size D and
-// the number of tables the index cache keeps. (The baselines' point
-// commands can append a few pages more — a multi-level lookup pages in
-// one table a level, an LSM insert can flush its memtable — which the
-// low-water headroom absorbs.)
+// write back one index page: the dirty table its page-in evicts, plus
+// what its bucket splits write back (splitPages). The whole-index
+// operations below are sized from the directory size D and the number
+// of tables the index cache keeps. (The baselines' point commands can
+// append a few pages more — a multi-level lookup pages in one table a
+// level, an LSM insert can flush its memtable — which the low-water
+// headroom absorbs.)
 
 // cachedTables is how many index pages the cache keeps.
 func (d *Device) cachedTables() int {
 	return max(1, int(d.cfg.CacheBudget/int64(d.flash.Config().PageSize)))
 }
 
+// The bucket splits a command runs that are not a point command's, for
+// splitPages.
+const (
+	drainSplits = 0  // finishes the migration in flight
+	haltSplits  = -1 // doubles the index, draining inside the halt with HaltResize
+)
+
+// splitPages is the one sizing rule for the index pages RHIK's bucket
+// splits make a command write back. Splitting an old bucket creates two
+// dirty tables, either of which a later cache insert may evict, so a
+// command that may split n old buckets may write back 2n pages. While a
+// migration is in flight, each of a point command's ops index operations
+// may split its background quota plus its key's bucket; that bound also
+// covers the second operation paging its table in again should the
+// first one's splits have evicted it. A command that drains the
+// migration (drainSplits) splits every bucket it has left. A doubling
+// (haltSplits) first drains the migration in flight; with HaltResize it
+// then splits the whole directory in the halt and keeps the last tables
+// it creates cached, so those D buckets cost 2D less the tables the
+// cache keeps.
+func (d *Device) splitPages(ops int) int {
+	r, ok := d.idx.(*core.RHIK)
+	if !ok {
+		return 0
+	}
+	left, perOp := r.PendingSplits()
+	switch {
+	case ops > 0:
+		return 2 * ops * perOp
+	case ops == haltSplits && d.cfg.HaltResize:
+		return 2*(left+r.DirEntries()) - d.cachedTables()
+	default:
+		return 2 * left
+	}
+}
+
 // flushPages bounds the index pages a Flush or a whole-index enumeration
-// can write back — every table dirty in the cache, and with incremental
-// resizing each of the up to D tables draining a migration creates — and
-// reports D.
+// can write back — every table dirty in the cache, and the tables
+// draining a migration in flight creates — and reports D.
 func (d *Device) flushPages() (pages, dirs int) {
 	dirs = d.IndexStats().DirEntries
-	pages = min(dirs, d.cachedTables())
-	if d.cfg.IncrementalResize {
-		pages += dirs
-	}
-	return pages, dirs
+	return min(dirs, d.cachedTables()) + d.splitPages(drainSplits), dirs
 }
 
 // activeBlocks lists the blocks GC must never pick: open log heads

@@ -89,9 +89,9 @@ func collidingPrefixes(t *testing.T) (a, b string) {
 
 // TestIterateDifferential drives a seeded op stream — inserts that grow
 // the index through several re-configurations, overwrites, deletes,
-// multi-page values — against a map oracle on RHIK (stop-the-world and
+// multi-page values — against a map oracle on RHIK (HaltResize and
 // incremental) and both baselines, scanning throughout: at every
-// directory size from the first on, while an incremental migration is in
+// directory size from the first on, while a migration is in
 // flight, with the group's newest records still in the open page buffer,
 // with a prefix longer than PrefixLen, and on two prefixes whose
 // signature low halves collide. Every scan must return exactly its own
@@ -114,8 +114,8 @@ func TestIterateDifferential(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"rhik", func(*Config) {}},
-		{"rhik-incremental", func(c *Config) { c.IncrementalResize = true }},
+		{"rhik", func(c *Config) { c.HaltResize = true }},
+		{"rhik-incremental", func(*Config) {}},
 		{"mlhash", func(c *Config) { c.Index = IndexMultiLevel }},
 		{"lsm", func(c *Config) { c.Index = IndexLSM }},
 	}
@@ -129,7 +129,7 @@ func TestIterateDifferential(t *testing.T) {
 			rh, _ := d.idx.(*core.RHIK)
 			rng := rand.New(rand.NewSource(21))
 			oracle := scanOracle{}
-			var overwrites, deletes, migrating, pending, longer, extents int
+			var overwrites, deletes, midMigration, pending, longer, extents int
 			scannedAt := map[int]bool{} // directory doublings seen by some scan
 
 			scan := func(prefix string) {
@@ -141,8 +141,8 @@ func TestIterateDifferential(t *testing.T) {
 						break
 					}
 				}
-				if rh != nil && rh.Migrating() {
-					migrating++
+				if rh != nil && migrating(rh) {
+					midMigration++
 				}
 				scannedAt[len(d.ResizeEvents())] = true
 				for _, e := range oracle.check(t, d, prefix) {
@@ -167,7 +167,7 @@ func TestIterateDifferential(t *testing.T) {
 					}
 					mustStore(t, d, []byte(k), v)
 					oracle[k] = v
-					if rh != nil && rh.Migrating() || rng.Intn(20) == 0 {
+					if rh != nil && migrating(rh) || rng.Intn(20) == 0 {
 						scan(g.prefix) // k itself is still in the open page buffer
 					}
 				case r < 85:
@@ -199,7 +199,7 @@ func TestIterateDifferential(t *testing.T) {
 			}
 
 			t.Logf("%d live keys, %d doublings; scans: %d sizes, %d mid-migration, %d over pending records, %d longer-prefix; %d overwrites, %d deletes, %d extent values returned",
-				len(oracle), len(d.ResizeEvents()), len(scannedAt), migrating, pending, longer, overwrites, deletes, extents)
+				len(oracle), len(d.ResizeEvents()), len(scannedAt), midMigration, pending, longer, overwrites, deletes, extents)
 			if overwrites == 0 || deletes == 0 || pending == 0 || longer == 0 || extents == 0 {
 				t.Fatalf("op stream missed a case: %d overwrites, %d deletes, %d scans over pending records, %d longer-prefix scans, %d extent values returned",
 					overwrites, deletes, pending, longer, extents)
@@ -216,8 +216,8 @@ func TestIterateDifferential(t *testing.T) {
 					t.Fatalf("no scan ran after %d of %d doublings", n, resizes)
 				}
 			}
-			if d.cfg.IncrementalResize && migrating == 0 {
-				t.Fatal("no scan ran during an incremental migration")
+			if !d.cfg.HaltResize && midMigration == 0 {
+				t.Fatal("no scan ran during a migration")
 			}
 		})
 	}

@@ -40,36 +40,6 @@ import (
 // work really occupied the firmware — so only genuinely-raced
 // operations pay for a retry.
 
-// readPairOptimistic is readPair's flash branch only. The pending map
-// (a plain Go map mutated by writers) must never be read without a
-// lock; the callers pre-check PageReadable, so a record pointer still
-// in a volatile open-page buffer never reaches this function.
-func (d *Device) readPairOptimistic(rp layout.RP, withValue, blocking bool) (hdr layout.PairHeader, key, value []byte, done sim.Time, err error) {
-	ppa := nand.PPA(rp.Page())
-	data, _, readDone, err := d.flash.Read(d.env.now.Load(), ppa)
-	if err != nil {
-		return hdr, nil, nil, d.env.now.Load(), err
-	}
-	done = readDone
-	info, _, err := layout.SigInfoAt(data, rp.Slot())
-	if err != nil {
-		return hdr, nil, nil, done, err
-	}
-	hdr, key, value, err = layout.DecodePairAt(data, int(info.Offset))
-	if err != nil {
-		return hdr, nil, nil, done, err
-	}
-	if withValue && hdr.ValueLen > len(value) {
-		if value, done, err = d.readExtent(done, ppa, value, hdr.ValueLen); err != nil {
-			return hdr, nil, nil, done, err
-		}
-	}
-	if blocking {
-		d.env.now.AdvanceTo(done)
-	}
-	return hdr, key, value, done, nil
-}
-
 // TryRetrieveOptimistic executes a get with no caller lock. It returns
 // index.ErrNeedExclusive when no lock-free read can succeed (bucket not
 // DRAM-resident, record still in a volatile buffer, pin table full, or
@@ -145,7 +115,7 @@ func (d *Device) tryRetrieveOptimistic(r *core.RHIK, submitAt sim.Time, key, dst
 		r.CommitOptimistic(probe)
 		return dst, d.env.now.Load(), ErrNotFound
 	}
-	hdr, storedKey, value, done, err := d.readPairOptimistic(layout.RP(probe.RP), true, false)
+	hdr, storedKey, value, done, err := d.readFlashPair(layout.RP(probe.RP), true, false)
 	if err != nil {
 		// Never surface a raw flash error from the lock-free tier. If the
 		// structure moved underneath us this is a raced read — retry. If
@@ -245,7 +215,7 @@ func (d *Device) tryExistOptimistic(r *core.RHIK, submitAt sim.Time, key []byte)
 		d.stats.exists.Add(1)
 		return false, d.env.now.Load(), nil
 	}
-	hdr, storedKey, _, _, err := d.readPairOptimistic(layout.RP(probe.RP), false, true)
+	hdr, storedKey, _, _, err := d.readFlashPair(layout.RP(probe.RP), false, true)
 	if err != nil {
 		// Same contract as the retrieve body: raced → retry, otherwise
 		// escalate so the exclusive path resolves pending continuation

@@ -10,19 +10,27 @@ import (
 )
 
 // readPair fetches the pair addressed by rp: from an open page buffer if
-// still pending, else from flash (head page plus continuations for
-// extents). When blocking is true the firmware waits for the data (key
-// verification gates the command); otherwise only the completion time
-// reflects the read and the firmware moves on (data-out phase of a
-// retrieve). Safe for concurrent readers: flash page reads are pure, the
-// single-slot signature decode allocates nothing, and the timeline only
-// moves through CAS-max advances. (The extent reassembly path allocates,
-// but only multi-page values take it.)
+// still pending, else from flash (readFlashPair). Writer-side: the
+// pending map is a plain map that only the exclusive lock guards.
 func (d *Device) readPair(rp layout.RP, withValue, blocking bool) (hdr layout.PairHeader, key, value []byte, done sim.Time, err error) {
 	if p, ok := d.pending[rp]; ok {
 		hdr = layout.PairHeader{KeyLen: len(p.key), ValueLen: len(p.value)}
 		return hdr, p.key, p.value, d.env.now.Load(), nil
 	}
+	return d.readFlashPair(rp, withValue, blocking)
+}
+
+// readFlashPair reads the pair addressed by rp from flash: its head page
+// plus continuations for extents. When blocking is true the firmware
+// waits for the data (key verification gates the command); otherwise
+// only the completion time reflects the read and the firmware moves on
+// (data-out phase of a retrieve). Safe for concurrent readers: flash
+// page reads are pure, the single-slot signature decode allocates
+// nothing, and the timeline only moves through CAS-max advances. (The
+// extent reassembly path allocates, but only multi-page values take it.)
+// The lock-free tier calls it directly, never readPair: it pre-checks
+// PageReadable, so a record still in an open-page buffer never gets here.
+func (d *Device) readFlashPair(rp layout.RP, withValue, blocking bool) (hdr layout.PairHeader, key, value []byte, done sim.Time, err error) {
 	ppa := nand.PPA(rp.Page())
 	data, _, readDone, err := d.flash.Read(d.env.now.Load(), ppa)
 	if err != nil {
@@ -142,7 +150,7 @@ func (d *Device) Retrieve(submitAt sim.Time, key []byte) ([]byte, sim.Time, erro
 	if d.closed.Load() {
 		return nil, d.env.now.Load(), ErrClosed
 	}
-	if err := d.reserveRead(1); err != nil {
+	if err := d.reserveRead(1 + d.splitPages(1)); err != nil {
 		return nil, d.env.now.Load(), err
 	}
 	d.collectRetired()
@@ -160,7 +168,7 @@ func (d *Device) RetrieveAppend(submitAt sim.Time, key, dst []byte) ([]byte, sim
 	if d.closed.Load() {
 		return dst, d.env.now.Load(), ErrClosed
 	}
-	if err := d.reserveRead(1); err != nil {
+	if err := d.reserveRead(1 + d.splitPages(1)); err != nil {
 		return dst, d.env.now.Load(), err
 	}
 	d.collectRetired()
@@ -198,7 +206,7 @@ func (d *Device) Exist(submitAt sim.Time, key []byte) (bool, sim.Time, error) {
 	if d.closed.Load() {
 		return false, d.env.now.Load(), ErrClosed
 	}
-	if err := d.reserveRead(1); err != nil {
+	if err := d.reserveRead(1 + d.splitPages(1)); err != nil {
 		return false, d.env.now.Load(), err
 	}
 	d.collectRetired()

@@ -164,7 +164,7 @@ func (s *Snapshot) Valid() bool { return !s.released.Load() && !s.invalid.Load()
 // escapes this file.
 var errSnapFallback = errors.New("device: snapshot fast path fell back")
 
-// readPairEpoch is readPairOptimistic plus the record's write epoch,
+// readPairEpoch is readFlashPair plus the record's write epoch,
 // recovered from the page spare's base and the sig entry's delta. Used
 // by both snapshot read paths; the caller guarantees the page is
 // programmed (frozen view) or pre-checked readable (fast path).

@@ -239,9 +239,9 @@ func (d *Device) Store(submitAt sim.Time, key, value []byte) (sim.Time, error) {
 	d.env.now.AdvanceTo(arrive)
 	start := submitAt
 	d.env.ChargeCPU(d.cfg.CmdCPU)
-	// A new block for the pair (one extent never spans two) and one index
-	// write-back.
-	if err := d.reserve(1 + d.indexBlocks(1)); err != nil {
+	// A new block for the pair (one extent never spans two) and the index
+	// write-backs of a lookup and an insert.
+	if err := d.reserve(1 + d.indexBlocks(1+d.splitPages(2))); err != nil {
 		return d.env.now.Load(), err
 	}
 	metaBefore := d.env.metaReads.Load()
@@ -323,8 +323,9 @@ func (d *Device) Delete(submitAt sim.Time, key []byte) (sim.Time, error) {
 	arrive := d.hostXfer(submitAt, len(key))
 	d.env.now.AdvanceTo(arrive)
 	d.env.ChargeCPU(d.cfg.CmdCPU)
-	// A new block for the tombstone and one index write-back.
-	if err := d.reserve(1 + d.indexBlocks(1)); err != nil {
+	// A new block for the tombstone and the index write-backs of a lookup
+	// and a delete.
+	if err := d.reserve(1 + d.indexBlocks(1+d.splitPages(2))); err != nil {
 		return d.env.now.Load(), err
 	}
 	metaBefore := d.env.metaReads.Load()
@@ -406,6 +407,10 @@ func (d *Device) insertReconfiguring(sig index.Sig, rp uint64) error {
 		if err := d.resize(rz); err != nil {
 			return err
 		}
+		// The retry may split buckets of the migration just started.
+		if err := d.reserve(d.indexBlocks(d.splitPages(1))); err != nil {
+			return err
+		}
 		_, _, err := d.idx.Insert(sig, rp)
 		if err == nil {
 			return nil
@@ -417,16 +422,12 @@ func (d *Device) insertReconfiguring(sig index.Sig, rp uint64) error {
 	return index.ErrCollision
 }
 
-// resize doubles the index with the submission queue halted. A
-// stop-the-world doubling creates up to 2D tables and writes back all
-// but those the cache keeps; an incremental one only swaps the directory,
-// and its migration steps ride on later commands.
+// resize doubles the index with the submission queue halted. The halt
+// swaps the directory; with HaltResize it also runs the whole
+// migration, otherwise the bucket splits ride on later commands.
 func (d *Device) resize(rz index.Resizer) error {
-	if !d.cfg.IncrementalResize {
-		pages := 2*d.IndexStats().DirEntries - d.cachedTables()
-		if err := d.reserve(d.indexBlocks(pages)); err != nil {
-			return err
-		}
+	if err := d.reserve(d.indexBlocks(d.splitPages(haltSplits))); err != nil {
+		return err
 	}
 	haltStart := d.env.now.Load()
 	if err := rz.Resize(); err != nil {

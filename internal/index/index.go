@@ -164,11 +164,14 @@ type ResizeEvent struct {
 
 // Resizer is implemented by indexes that re-configure themselves (RHIK).
 // The device invokes Resize between commands with the submission queue
-// halted, matching the paper's stop-the-world migration.
+// halted. RHIK's halt publishes the doubled directory and its buckets
+// migrate as later operations touch them, unless HaltResize drains the
+// migration inside the halt, the paper's stop-the-world doubling.
 type Resizer interface {
 	// NeedsResize reports whether occupancy crossed the threshold.
 	NeedsResize() bool
-	// Resize doubles the index and migrates all records.
+	// Resize doubles the index; its records migrate inside the call or
+	// as later operations touch them.
 	Resize() error
 	// ResizeEvents returns the history of completed resizes.
 	ResizeEvents() []ResizeEvent

@@ -40,10 +40,7 @@ import (
 // the schedule silently stopped exercising the lock-free path and the
 // test lost its meaning. Run under -race in CI.
 func TestOptimisticLinearizable(t *testing.T) {
-	set, err := shard.New(1, device.Config{
-		Capacity:          64 << 20,
-		IncrementalResize: true,
-	})
+	set, err := shard.New(1, device.Config{Capacity: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,11 +11,15 @@ import (
 	"repro/internal/workload"
 )
 
-// migrating reports whether shard i's index has an incremental
-// re-configuration in flight.
+// migrating reports whether shard i's index has a re-configuration in
+// flight.
 func migrating(s *Set, i int) bool {
-	m, ok := s.Shard(i).Device().Index().(interface{ Migrating() bool })
-	return ok && m.Migrating()
+	m, ok := s.Shard(i).Device().Index().(interface{ PendingSplits() (int, int) })
+	if !ok {
+		return false
+	}
+	left, _ := m.PendingSplits()
+	return left > 0
 }
 
 // TestReaderHeavySchedule runs the read path's intended deployment
@@ -27,10 +31,7 @@ func migrating(s *Set, i int) bool {
 // miss — and the run must end with reads flowing through the
 // optimistic path again once migrations drain.
 func TestReaderHeavySchedule(t *testing.T) {
-	set, err := New(1, device.Config{
-		Capacity:          64 << 20,
-		IncrementalResize: true,
-	})
+	set, err := New(1, device.Config{Capacity: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,10 +180,7 @@ func TestReaderHeavySchedule(t *testing.T) {
 // bucket. Once the migration drains, the probe stays lock-free.
 // Deterministic: single shard, no background goroutines.
 func TestReadMidMigrationUpgrades(t *testing.T) {
-	set, err := New(1, device.Config{
-		Capacity:          64 << 20,
-		IncrementalResize: true,
-	})
+	set, err := New(1, device.Config{Capacity: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

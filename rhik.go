@@ -107,10 +107,6 @@ type Options struct {
 	// N mutations device-wide (0 = only on Close/Checkpoint); each
 	// shard checkpoints every N/Shards of its own mutations.
 	CheckpointEveryOps int64
-	// IncrementalResize grows the index lazily (bounded per-command
-	// migration work) instead of halting the queue for a full
-	// migration — the paper's "real-time index scaling" extension.
-	IncrementalResize bool
 	// ValueCacheBudget, when positive, enables the hot-value DRAM tier
 	// (divided across shards): a byte-budgeted cache of recently read
 	// values consulted before the index by every read tier, so hot GETs
@@ -203,7 +199,6 @@ func OpenSet(opts Options) (*shard.Set, error) {
 		OccupancyThreshold: opts.OccupancyThreshold,
 		HopRange:           opts.HopRange,
 		CheckpointEveryOps: ckpt,
-		IncrementalResize:  opts.IncrementalResize,
 		ValueCacheBudget:   opts.ValueCacheBudget / int64(n),
 	}
 	switch opts.Index {

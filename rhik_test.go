@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	rhik "repro"
+	"repro/internal/core"
 )
 
 func openDB(t *testing.T, opts rhik.Options) *rhik.DB {
@@ -164,27 +166,24 @@ func TestPublicBatchRetrieve(t *testing.T) {
 // resize trigger. Before the fix this store sequence aborted with a
 // spurious "uncorrectable signature collision" around key 6994.
 func TestIteratorModeGroupClumping(t *testing.T) {
-	for _, incr := range []bool{false, true} {
-		db := openDB(t, rhik.Options{
-			Capacity:          512 << 20,
-			IteratorPrefixLen: 14,
-			IncrementalResize: incr,
-		})
-		val := bytes.Repeat([]byte{'v'}, 64)
-		for id := uint64(0); id < 10_000; id++ {
-			key := []byte(fmt.Sprintf("k%015x", id))
-			if err := db.Store(key, val); err != nil {
-				t.Fatalf("incremental=%v: store %d: %v", incr, id, err)
-			}
+	db := openDB(t, rhik.Options{
+		Capacity:          512 << 20,
+		IteratorPrefixLen: 14,
+	})
+	val := bytes.Repeat([]byte{'v'}, 64)
+	for id := uint64(0); id < 10_000; id++ {
+		key := []byte(fmt.Sprintf("k%015x", id))
+		if err := db.Store(key, val); err != nil {
+			t.Fatalf("store %d: %v", id, err)
 		}
-		// Every group must remain fully scannable after the splits.
-		entries, err := db.Iterate([]byte(fmt.Sprintf("k%015x", uint64(6994))[:14]))
-		if err != nil {
-			t.Fatalf("incremental=%v: iterate: %v", incr, err)
-		}
-		if len(entries) != 256 {
-			t.Fatalf("incremental=%v: scan group: %d entries, want 256", incr, len(entries))
-		}
+	}
+	// Every group must remain fully scannable after the splits.
+	entries, err := db.Iterate([]byte(fmt.Sprintf("k%015x", uint64(6994))[:14]))
+	if err != nil {
+		t.Fatalf("iterate: %v", err)
+	}
+	if len(entries) != 256 {
+		t.Fatalf("scan group: %d entries, want 256", len(entries))
 	}
 }
 
@@ -353,4 +352,34 @@ func FuzzStoreRetrieve(f *testing.F) {
 			t.Fatalf("exist after delete = (%v, %v)", ok, err)
 		}
 	})
+}
+
+// TestDefaultGrowthMigratesIncrementally: with default options the index
+// doubles without halting the submission queue for the migration. The
+// halt is the directory swap alone, cheaper than splitting one bucket,
+// and every key stays readable while buckets are still migrating.
+func TestDefaultGrowthMigratesIncrementally(t *testing.T) {
+	db := openDB(t, rhik.Options{Shards: 1})
+	val := []byte("value")
+	n := 0
+	for st := db.Stats(); st.DirectoryEntries < 64 || st.DirectoryEntries == 1<<st.Resizes; st = db.Stats() {
+		if err := db.Store([]byte(fmt.Sprintf("key-%08d", n)), val); err != nil {
+			t.Fatal(err)
+		}
+		if n++; n > 1_000_000 {
+			t.Fatalf("no migration in flight after %d stores", n)
+		}
+	}
+	// D = 2^(completed doublings + the one in flight): mid-migration.
+	for i := 0; i < n; i++ {
+		got, err := db.Retrieve([]byte(fmt.Sprintf("key-%08d", i)))
+		if err != nil || !bytes.Equal(got, val) {
+			t.Fatalf("key %d mid-migration: %q, %v", i, got, err)
+		}
+	}
+	pageSize := db.Device().Geometry().PageSize
+	oneSplit := time.Duration(core.RecordsPerTable(pageSize, false)) * time.Duration(core.DefaultMigrateCPUPerRecord)
+	if halt := db.Stats().ResizeHaltTotal; halt >= oneSplit {
+		t.Fatalf("%d doublings halted the queue for %v, one bucket split costs %v", db.Stats().Resizes, halt, oneSplit)
+	}
 }
