@@ -49,7 +49,6 @@ func (e *ringEnv) AppendPage(data []byte) (nand.PPA, error) {
 
 func (e *ringEnv) Invalidate(nand.PPA)      {}
 func (e *ringEnv) ChargeCPU(d sim.Duration) { e.clock.Advance(d) }
-func (e *ringEnv) MetaReads() int64         { return e.reads }
 func (e *ringEnv) Now() sim.Time            { return e.clock.Now() }
 
 // BenchmarkPageIn times RHIK's whole cache-miss path at the paper's page

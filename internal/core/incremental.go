@@ -55,10 +55,12 @@ func (r *RHIK) startIncrementalResize() error {
 	}
 	newG := newGeneration(2 * oldD)
 	newG.cache = r.newCache(newG)
+	newG.migrating.Store(true)
 	// Publish the doubled generation before any bucket migrates: readers
-	// that load it see nil resident slots for unmigrated buckets and
-	// escalate; readers still holding the old generation keep validating
-	// against it until splitBucket unpublishes their bucket.
+	// that load it see it migrating and escalate every bucket it has not
+	// cached; readers still holding the old generation keep validating
+	// against it until splitBucket unpublishes their bucket or the
+	// generation check fails.
 	r.gen.Store(newG)
 	r.cache = newG.cache
 	r.dBits++
@@ -124,6 +126,7 @@ func (r *RHIK) migrateBucket(b uint64) error {
 func (r *RHIK) finishMigration() {
 	mig := r.mig
 	r.mig = nil
+	r.g().migrating.Store(false)
 	r.resizes = append(r.resizes, index.ResizeEvent{
 		KeysBefore:  mig.keys,
 		NewCapacity: r.Capacity(),

@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"repro/internal/epoch"
+	"repro/internal/hopscotch"
 	"repro/internal/index"
+	"repro/internal/nand"
 )
 
 // optRHIK builds a RHIK with an epoch domain attached, the configuration
@@ -335,4 +337,135 @@ func racePageInChurn(t *testing.T, gets bool) {
 		t.Skip("schedule never overlapped a probe with a page-in; nothing exercised (single-core timing)")
 	}
 	t.Logf("write-backs=%d page-ins=%d accepted=%d retries=%d", env.appends, env.reads, accepted.Load(), retries.Load())
+}
+
+// peekEnv is memEnv with uncharged page reads, which turns on the
+// lock-free probe of non-resident buckets. Single-goroutine tests only:
+// memEnv's page map is not safe for concurrent readers.
+type peekEnv struct{ *memEnv }
+
+func (e peekEnv) PeekPage(p nand.PPA) []byte { return e.pages[p] }
+
+// TestOptimisticProbeFollowsReadMissRule pins when a lock-free probe of
+// a bucket whose table is not cached answers from the bucket's page
+// image: exactly when a locked Get would leave the cache alone. A full
+// cache whose CLOCK victim is clean and unreferenced answers, with the
+// page to charge, and so does a bucket with no page (not found, nothing
+// to charge). A dirty victim, room in the cache, a victim a hit has
+// referenced since the rule was published, and a migration in flight
+// all refuse. Moving the bucket's page invalidates an answer.
+func TestOptimisticProbeFollowsReadMissRule(t *testing.T) {
+	const buckets, perBucket, tableBytes = 16, 20, 60 * hopscotch.SlotSize
+	env := peekEnv{newMemEnv()}
+	r, err := New(Config{PageSize: 1024, AnticipatedKeys: buckets * 60, CacheBudget: 4 * tableBytes}, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, st := r.PeekOptimistic(sig64(5)); st != index.OptOK || p.Found || p.FromPage {
+		t.Fatalf("probe of a bucket with no page = (%+v, %v), want OK, not found, no page", p, st)
+	}
+	for lo := uint64(0); lo < buckets*perBucket; lo++ {
+		if _, _, err := r.Insert(sig64(lo), lo+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	cold := func() uint64 {
+		for lo := uint64(0); ; lo++ {
+			if !r.cache.Contains(lo % buckets) {
+				return lo
+			}
+		}
+	}
+	probe := func(lo uint64) (OptProbe, index.OptStatus) {
+		t.Helper()
+		p, st := r.PeekOptimistic(sig64(lo))
+		if st == index.OptOK && (!p.Found || p.RP != lo+1 || !p.FromPage || !r.RevalidateOptimistic(p)) {
+			t.Fatalf("probe of %d = %+v, want found rp %d from a valid page", lo, p, lo+1)
+		}
+		return p, st
+	}
+
+	// Clean victims: answered from the image, counted as a miss.
+	lo := cold()
+	p, st := probe(lo)
+	if st != index.OptOK {
+		t.Fatalf("cold probe with a clean victim: status %v, want OK", st)
+	}
+	misses := r.CacheStats().Misses
+	r.CommitOptimistic(p)
+	if got := r.CacheStats().Misses - misses; got != 1 {
+		t.Fatalf("committing an image answer counted %d misses, want 1", got)
+	}
+
+	// A hit on the published victim sets its reference bit: the rule may
+	// now name another victim, so probes refuse until a locked Get that
+	// misses republishes it.
+	g := r.g()
+	if g.victimHeld.Load() {
+		t.Fatal("the flush left every cached table referenced; the victim is held")
+	}
+	for b := range g.resident {
+		if g.resident[b].Load() == g.readMiss.Load() {
+			r.cache.Get(uint64(b))
+		}
+	}
+	if _, st := probe(lo); st != index.OptNeedExclusive {
+		t.Fatalf("probe after the victim was referenced: status %v, want OptNeedExclusive", st)
+	}
+	if _, _, err := r.Get(sig64(lo)); err != nil {
+		t.Fatal(err)
+	}
+	if _, st := probe(lo); st != index.OptOK {
+		t.Fatalf("probe after a locked miss republished the rule: status %v, want OK", st)
+	}
+
+	// Moving the bucket's page (what index-zone GC does) invalidates the
+	// answer, though the bucket ends up cached clean.
+	p, _ = probe(lo)
+	if err := r.Relocate(lo % buckets); err != nil {
+		t.Fatal(err)
+	}
+	if r.RevalidateOptimistic(p) {
+		t.Fatal("a probe stayed valid across its bucket's relocation")
+	}
+
+	// Dirty victims: every cached table takes an update, so a miss would
+	// install over one of them.
+	for b := uint64(0); b < buckets; b++ {
+		if r.cache.Contains(b) {
+			if _, _, err := r.Insert(sig64(b), b+1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, st := probe(cold()); st != index.OptNeedExclusive {
+		t.Fatalf("cold probe with a dirty victim: status %v, want OptNeedExclusive", st)
+	}
+
+	// Room: a miss would install without evicting.
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r.ResizeCache(buckets * tableBytes)
+	if _, st := probe(cold()); st != index.OptNeedExclusive {
+		t.Fatalf("cold probe with room in the cache: status %v, want OptNeedExclusive", st)
+	}
+
+	// Migration in flight: the doubled generation's slots may not be
+	// produced yet.
+	r.ResizeCache(4 * tableBytes)
+	if err := r.Resize(); err != nil {
+		t.Fatal(err)
+	}
+	if !migrating(r) {
+		t.Fatal("the resize did not leave a migration in flight")
+	}
+	for lo := uint64(0); lo < buckets*perBucket; lo++ {
+		if p, st := r.PeekOptimistic(sig64(lo)); st == index.OptOK && p.ref == nil {
+			t.Fatalf("probe of %d answered without a resident table while migrating: %+v", lo, p)
+		}
+	}
 }

@@ -57,8 +57,8 @@ func (r *RHIK) splitBucket(old, g *generation, b uint64) error {
 		old.resident[b].Store(nil)
 		e.table.Invalidate()
 		src = e
-	} else if old.dirs[b].has {
-		data, err := r.env.ReadPage(old.dirs[b].ppa)
+	} else if ppa, has := old.dirs[b].page(); has {
+		data, err := r.env.ReadPage(ppa)
 		if err != nil {
 			return fmt.Errorf("core: migration read bucket %d: %w", b, err)
 		}
@@ -98,10 +98,10 @@ func (r *RHIK) splitBucket(old, g *generation, b uint64) error {
 		e.dirty = true
 		r.put(g, b+uint64(i)*oldD, e)
 	}
-	if old.dirs[b].has {
-		r.env.Invalidate(old.dirs[b].ppa)
-		delete(r.live, old.dirs[b].ppa)
-		old.dirs[b].has = false
+	if ppa, has := old.dirs[b].page(); has {
+		r.env.Invalidate(ppa)
+		delete(r.live, ppa)
+		old.dirs[b].clear()
 	}
 	return nil
 }

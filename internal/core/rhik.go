@@ -147,10 +147,21 @@ func DirectoryEntries(anticipatedKeys int64, recordsPerTable int) int {
 	return int(d)
 }
 
-type dirEntry struct {
-	ppa nand.PPA // flash address of the persisted record table
-	has bool     // whether a persisted copy exists
+// dirEntry is one directory slot: the flash address of the bucket's
+// persisted record table, plus one, or zero while the bucket has no
+// page. It is atomic so lock-free readers can follow it to the page.
+type dirEntry struct{ w atomic.Uint64 }
+
+// page returns the bucket's page and whether it has one.
+func (d *dirEntry) page() (nand.PPA, bool) {
+	if w := d.w.Load(); w != 0 {
+		return nand.PPA(w - 1), true
+	}
+	return 0, false
 }
+
+func (d *dirEntry) set(p nand.PPA) { d.w.Store(uint64(p) + 1) }
+func (d *dirEntry) clear()         { d.w.Store(0) }
 
 // tableEntry is a cached record table. It embeds its cache node, so an
 // entry, its table and its place in the CLOCK ring are pooled together
@@ -165,14 +176,29 @@ type tableEntry struct {
 // bucket, an atomically-published pointer to the DRAM-resident record
 // table (nil when the bucket is not cached). Optimistic readers load
 // the current generation once, follow resident pointers, and validate
-// with the table's seqlock; writers build a new generation on resize
-// and swap it in atomically, so readers never see a half-migrated
-// directory. The cache pointer is fixed per generation so lock-free
-// commits can touch CLOCK state without racing the writer's cache swap.
+// with the table's seqlock — or, for a bucket with no resident table,
+// read its page and validate the directory slot; writers build a new
+// generation on resize and swap it in atomically, so readers never see
+// a half-migrated directory. The cache pointer is fixed per generation
+// so lock-free commits can touch CLOCK state without racing the
+// writer's cache swap.
 type generation struct {
-	dirs     []dirEntry
-	resident []atomic.Pointer[tableEntry]
-	cache    *dram.Cache[*tableEntry]
+	dirs      []dirEntry
+	resident  []atomic.Pointer[tableEntry]
+	cache     *dram.Cache[*tableEntry]
+	migrating atomic.Bool // its buckets are still splitting out of the previous generation
+
+	// readMiss is the read-miss rule as the writer last published it for
+	// the lock-free tier: the clean CLOCK victim when a read miss answers
+	// from the page image, nil when it installs; victimHeld reports that
+	// the victim stands whatever reference bits readers set
+	// (publishReadMiss). The rule* fields are the writer's record of what
+	// it published.
+	readMiss   atomic.Pointer[tableEntry]
+	victimHeld atomic.Bool
+	ruleMods   uint64
+	ruleVictim *tableEntry
+	ruleDirty  bool
 }
 
 func newGeneration(d int) *generation {
@@ -190,7 +216,8 @@ func newGeneration(d int) *generation {
 type RHIK struct {
 	cfg     Config
 	env     index.Env
-	reclaim *epoch.Domain // nil: recycle pools immediately
+	peek    index.PagePeeker // env's uncharged page reads; nil: cold probes refuse
+	reclaim *epoch.Domain    // nil: recycle pools immediately
 
 	r     int                        // records per table (Eq. 1)
 	dBits int                        // log2(D)
@@ -234,6 +261,7 @@ func New(cfg Config, env index.Env) (*RHIK, error) {
 		r:       RecordsPerTable(cfg.PageSize, cfg.SigScheme.Wide()),
 		live:    make(map[nand.PPA]uint64),
 	}
+	r.peek, _ = env.(index.PagePeeker)
 	d := DirectoryEntries(cfg.AnticipatedKeys, r.r)
 	r.dBits = bits.Len64(uint64(d)) - 1
 	g := newGeneration(d)
@@ -264,20 +292,21 @@ func (r *RHIK) Occupancy() float64 { return float64(r.n) / float64(r.Capacity())
 // newCache builds a record-table cache whose write-back path targets the
 // given generation. The closure binds g so that evictions during a
 // resize write through to the directory generation that owns them.
-// Eviction order matters for lock-free readers: unpublish the resident
-// pointer, poison the table's version counter, then write back and
-// retire — an optimistic probe racing the eviction fails either the
-// pointer re-check or the seqlock validation, never reads a recycled
-// table.
+// Eviction order matters for lock-free readers: write back, unpublish
+// the resident pointer, poison the table's version counter, then
+// retire. A probe of the resident table fails the pointer re-check or
+// the seqlock validation, never reads a recycled table; and a probe
+// that finds the slot empty finds the directory already pointing at the
+// written-back page, never at the one the table had outdated.
 func (r *RHIK) newCache(g *generation) *dram.Cache[*tableEntry] {
 	return dram.New(r.cfg.CacheBudget, func(key uint64, e *tableEntry, _ int64) {
-		g.resident[key].Store(nil)
-		e.table.Invalidate()
 		if e.dirty {
 			if err := r.writeTable(g.dirs, key, e); err != nil {
 				r.setIOErr(err)
 			}
 		}
+		g.resident[key].Store(nil)
+		e.table.Invalidate()
 		r.retireEntry(e)
 	})
 }
@@ -287,8 +316,8 @@ func (r *RHIK) newCache(g *generation) *dram.Cache[*tableEntry] {
 // between device commands, never inside an index operation, so no Env
 // call may re-enter; one that did would evict tables its caller still
 // holds. Every operation that can reach the Env brackets itself with
-// enter and a deferred exit. The lock-free probes do not: they never
-// reach the Env.
+// enter and a deferred exit. The lock-free probes do not: they only
+// peek at pages.
 func (r *RHIK) enter() {
 	if r.busy {
 		panic("core: index operation re-entered from inside another; index.Env must not call back into the index")
@@ -296,7 +325,16 @@ func (r *RHIK) enter() {
 	r.busy = true
 }
 
-func (r *RHIK) exit() { r.busy = false }
+// exit ends an exported operation and republishes the read-miss rule
+// if the operation changed one of its inputs: the cache's membership,
+// hand or budget, or the dirty bit of the victim it last named. Hits
+// and updates of tables already dirty leave both alone and pay nothing.
+func (r *RHIK) exit() {
+	r.busy = false
+	if g := r.g(); g.cache.Mods() != g.ruleMods || g.ruleVictim != nil && g.ruleVictim.dirty != g.ruleDirty {
+		r.publishReadMiss(g)
+	}
+}
 
 // setIOErr stashes the first deferred write-back error and raises the
 // lock-free mirror flag so optimistic readers escalate until a writer
@@ -394,11 +432,11 @@ func (r *RHIK) writeTable(dirs []dirEntry, bucket uint64, e *tableEntry) error {
 	if err != nil {
 		return err
 	}
-	if dirs[bucket].has {
-		r.env.Invalidate(dirs[bucket].ppa)
-		delete(r.live, dirs[bucket].ppa)
+	if old, has := dirs[bucket].page(); has {
+		r.env.Invalidate(old)
+		delete(r.live, old)
 	}
-	dirs[bucket] = dirEntry{ppa: ppa, has: true}
+	dirs[bucket].set(ppa)
 	r.live[ppa] = bucket
 	e.dirty = false
 	return nil
@@ -424,10 +462,11 @@ func (r *RHIK) loadTable(bucket uint64) (*tableEntry, error) {
 		return e, nil
 	}
 	g := r.g()
-	if !g.dirs[bucket].has {
+	ppa, has := g.dirs[bucket].page()
+	if !has {
 		return r.install(g, bucket, nil)
 	}
-	data, err := r.env.ReadPage(g.dirs[bucket].ppa)
+	data, err := r.env.ReadPage(ppa)
 	if err != nil {
 		return nil, err
 	}
@@ -451,23 +490,53 @@ func (r *RHIK) install(g *generation, bucket uint64, image []byte) (*tableEntry,
 	return e, nil
 }
 
-// installOnRead is the rule for a read that missed the cache: install
+// readMissRule is the rule for a read that missed the cache: install
 // the table only when that evicts nothing, or when the CLOCK victim is
 // dirty — its write-back is due anyway, and the read pays it instead of
 // the next write. Otherwise the read answers from the page image and
 // leaves the cache alone. A cache holding at most one table always has
 // room: it is the over-budget singleton, whose one entry every miss
-// replaces.
-func (r *RHIK) installOnRead() bool {
+// replaces. It reports the victim an install would evict (nil: none),
+// whether the read installs, and whether the victim is held
+// (dram.Cache.Victim).
+func (r *RHIK) readMissRule() (victim *tableEntry, install, held bool) {
 	if r.cache.Len() <= 1 {
-		return true
+		return nil, true, false
 	}
 	size := hopscotch.EncodedSize(r.r)
 	if r.cfg.SigScheme.Wide() {
 		size = hopscotch.EncodedSizeWide(r.r)
 	}
-	v, evicts := r.cache.Victim(int64(size))
-	return !evicts || v.dirty
+	v, evicts, held := r.cache.Victim(int64(size))
+	if !evicts {
+		return nil, true, false
+	}
+	return v, v.dirty, held
+}
+
+// publishReadMiss applies the read-miss rule and hands the result to
+// the lock-free tier: the clean victim when a miss answers from the
+// page image, nil when it installs. A lock-free probe answers a miss
+// from the image only while that victim still stands: it was held, or
+// its reference bit is still clear. Between writer operations readers
+// can set reference bits but never clear them, and the victim is the
+// first entry from the hand whose bit is clear, or the hand's entry
+// when every bit is set; so a victim that stands is the one the rule
+// still names, and the probe decides exactly as a locked Get would. A
+// locked Get that misses publishes the rule it applies, so a victim
+// that hits made stale is replaced by the read it sent to the lock.
+func (r *RHIK) publishReadMiss(g *generation) (install bool) {
+	v, install, held := r.readMissRule()
+	g.ruleMods, g.ruleVictim = g.cache.Mods(), v
+	if v != nil {
+		g.ruleDirty = v.dirty
+	}
+	if install {
+		v = nil
+	}
+	g.victimHeld.Store(held)
+	g.readMiss.Store(v)
+	return install
 }
 
 func (r *RHIK) checkIO() error {
@@ -533,9 +602,10 @@ func (r *RHIK) Lookup(sig index.Sig) (uint64, bool, error) {
 // Get implements index.Index: the read-only lookup. A cache hit counts
 // and answers as Lookup's does. A miss reads the bucket's page — the
 // one flash read, charged as Lookup charges it — and then either
-// installs the table (installOnRead) or, leaving the cache untouched,
-// answers from the page image. A bucket that has no page holds nothing,
-// and nothing is installed for it.
+// installs the table (readMissRule) or, leaving the cache untouched,
+// answers from the page image, and publishes the rule it applied for
+// the lock-free tier. A bucket that has no page holds nothing, and
+// nothing is installed for it.
 func (r *RHIK) Get(sig index.Sig) (uint64, bool, error) {
 	r.enter()
 	defer r.exit()
@@ -547,14 +617,15 @@ func (r *RHIK) Get(sig index.Sig) (uint64, bool, error) {
 	e, ok := r.cache.Get(bucket)
 	if !ok {
 		g := r.g()
-		if !g.dirs[bucket].has {
+		ppa, has := g.dirs[bucket].page()
+		if !has {
 			return 0, false, r.checkIO()
 		}
-		data, err := r.env.ReadPage(g.dirs[bucket].ppa)
+		data, err := r.env.ReadPage(ppa)
 		if err != nil {
 			return 0, false, err
 		}
-		if !r.installOnRead() {
+		if !r.publishReadMiss(g) {
 			rp, found, err := hopscotch.ProbeImage(data, r.r, r.cfg.SigScheme.Wide(), sig.Lo, sig.Hi)
 			if err != nil {
 				return 0, false, err
@@ -600,43 +671,50 @@ func (r *RHIK) Exist(sig index.Sig) (bool, error) {
 // OptProbe is the result of a lock-free index probe. The RP/Found pair
 // is meaningful only while RevalidateOptimistic keeps returning true;
 // the unexported fields anchor the probed generation slot and seqlock
-// snapshot for those later validations. Plain value type: it must not
-// escape to the heap on the device's 0-alloc GET path.
+// snapshot, or the directory word, for those later validations. Plain
+// value type: it must not escape to the heap on the device's 0-alloc
+// GET path.
 type OptProbe struct {
 	RP    uint64
 	Found bool
+	// FromPage reports that RP/Found came from the image of the index
+	// page Page, as a locked Get that misses the cache and leaves it
+	// alone answers: the caller charges that page as one index read.
+	FromPage bool
+	Page     nand.PPA
 
-	ref   *tableEntry
-	slot  *atomic.Pointer[tableEntry]
-	seq   uint64
-	cache *dram.Cache[*tableEntry]
+	gen    *generation
+	bucket uint64
+	ref    *tableEntry // the resident table probed; nil when none was
+	seq    uint64      // ref's seqlock snapshot
+	dir    uint64      // the directory word a probe without ref read
 }
 
 // PeekOptimistic probes the index for sig without any lock and without
 // charging simulated time or touching counters. The caller must hold an
 // epoch pin on the device's reclaim domain for the whole probe/validate
-// lifetime, so the referenced table cannot be recycled underneath it.
+// lifetime, so the referenced table or page cannot be recycled
+// underneath it.
+//
+// A bucket whose table is resident answers from the table. One that is
+// not answers as a locked Get would without installing it: from its
+// page image (FromPage), or not-found when it has no page.
 //
 // OptOK means the probe validated at return: RP/Found were read from a
-// stable table version reachable from the current directory generation.
-// OptRetry means a concurrent mutation interfered; retry immediately.
-// OptNeedExclusive means no lock-free read can succeed (bucket not
-// resident, bucket not yet migrated into the current generation, or a
-// deferred write-back error is pending) — escalate to the exclusive
-// path.
+// stable table version or page reachable from the current directory
+// generation. OptRetry means a concurrent mutation interfered; retry
+// immediately. OptNeedExclusive means no lock-free read can succeed
+// (a miss the locked Get would install, a migration in flight, or a
+// pending deferred write-back error) — escalate to the exclusive path.
 func (r *RHIK) PeekOptimistic(sig index.Sig) (OptProbe, index.OptStatus) {
 	if r.ioErrFlag.Load() {
 		return OptProbe{}, index.OptNeedExclusive
 	}
 	g := r.gen.Load()
 	b := sig.Lo & uint64(len(g.dirs)-1)
-	slot := &g.resident[b]
-	ref := slot.Load()
+	ref := g.resident[b].Load()
 	if ref == nil {
-		// Not DRAM-resident in this generation: either a cache miss or a
-		// bucket the migration has not produced yet. Both need
-		// the exclusive path (flash load / migration step).
-		return OptProbe{}, index.OptNeedExclusive
+		return r.peekPage(g, b, sig)
 	}
 	t := ref.table
 	v, ok := t.SeqSnapshot()
@@ -644,28 +722,69 @@ func (r *RHIK) PeekOptimistic(sig index.Sig) (OptProbe, index.OptStatus) {
 		return OptProbe{}, index.OptRetry
 	}
 	rp, found := t.GetOptimistic(sig.Lo, sig.Hi)
-	if !t.SeqValidate(v) || slot.Load() != ref {
+	if !t.SeqValidate(v) || g.resident[b].Load() != ref {
 		return OptProbe{}, index.OptRetry
 	}
-	return OptProbe{RP: rp, Found: found, ref: ref, slot: slot, seq: v, cache: g.cache}, index.OptOK
+	return OptProbe{RP: rp, Found: found, gen: g, bucket: b, ref: ref, seq: v}, index.OptOK
+}
+
+// peekPage is PeekOptimistic for bucket b of generation g with no
+// resident table. While g's buckets are still migrating, the slot may
+// be one the migration has not produced yet: refuse. A bucket with a
+// page is answered from its image only when the read-miss rule says the
+// locked Get would not install it, so both tiers decide alike.
+func (r *RHIK) peekPage(g *generation, b uint64, sig index.Sig) (OptProbe, index.OptStatus) {
+	if r.peek == nil || g.migrating.Load() {
+		return OptProbe{}, index.OptNeedExclusive
+	}
+	p := OptProbe{gen: g, bucket: b, dir: g.dirs[b].w.Load()}
+	if p.dir != 0 {
+		if v := g.readMiss.Load(); v == nil || v.Referenced() && !g.victimHeld.Load() {
+			return OptProbe{}, index.OptNeedExclusive
+		}
+		p.FromPage, p.Page = true, nand.PPA(p.dir-1)
+		image := r.peek.PeekPage(p.Page)
+		if image == nil {
+			return OptProbe{}, index.OptRetry
+		}
+		var err error
+		if p.RP, p.Found, err = hopscotch.ProbeImage(image, r.r, r.cfg.SigScheme.Wide(), sig.Lo, sig.Hi); err != nil {
+			return OptProbe{}, index.OptRetry
+		}
+	}
+	if !r.RevalidateOptimistic(p) {
+		return OptProbe{}, index.OptRetry
+	}
+	return p, index.OptOK
 }
 
 // RevalidateOptimistic reports whether a probe's result is still
-// current: the table version is unchanged and the entry is still the
-// one published for its bucket. The device calls it after copying
-// dependent data (the record page) and before acting on it, which is
-// the read's linearization point. Requires the same epoch pin as the
-// probe.
+// current. For a resident table: its version is unchanged and it is
+// still the one published for its bucket. Otherwise: the generation is
+// still current, the bucket still has no resident table, its directory
+// slot still names the same page, and no write-back error is pending.
+// The device calls it after copying dependent data (the record page)
+// and before acting on it, which is the read's linearization point.
+// Requires the same epoch pin as the probe.
 func (r *RHIK) RevalidateOptimistic(p OptProbe) bool {
-	return p.ref.table.SeqValidate(p.seq) && p.slot.Load() == p.ref
+	slot := &p.gen.resident[p.bucket]
+	if p.ref != nil {
+		return p.ref.table.SeqValidate(p.seq) && slot.Load() == p.ref
+	}
+	return r.gen.Load() == p.gen && slot.Load() == nil &&
+		p.gen.dirs[p.bucket].w.Load() == p.dir && !r.ioErrFlag.Load()
 }
 
-// CommitOptimistic applies the cache side effects a locked Lookup would
-// have had — one hit, CLOCK reference bit set — for a probe that
-// validated, against the cache generation the probe actually read. Call
-// exactly once per successful optimistic operation.
+// CommitOptimistic applies the cache side effects a locked Get would
+// have had — one hit and the reference bit set, or one miss — for a
+// probe that validated, against the cache generation the probe actually
+// read. Call exactly once per successful optimistic operation.
 func (r *RHIK) CommitOptimistic(p OptProbe) {
-	p.cache.TouchHit(p.ref)
+	if p.ref == nil {
+		p.gen.cache.TouchMiss()
+		return
+	}
+	p.gen.cache.TouchHit(p.ref)
 }
 
 // OptimisticLookupCost is the simulated CPU charge for one optimistic

@@ -25,13 +25,14 @@ func (r *RHIK) EncodeState() []byte {
 	buf = append(buf, n8[:]...)
 	binary.LittleEndian.PutUint64(n8[:], uint64(r.collisions))
 	buf = append(buf, n8[:]...)
-	for _, d := range dirs {
-		has := byte(0)
-		if d.has {
-			has = 1
+	for i := range dirs {
+		ppa, has := dirs[i].page()
+		flag := byte(0)
+		if has {
+			flag = 1
 		}
-		buf = append(buf, has)
-		binary.LittleEndian.PutUint64(n8[:], uint64(d.ppa))
+		buf = append(buf, flag)
+		binary.LittleEndian.PutUint64(n8[:], uint64(ppa))
 		buf = append(buf, n8[:]...)
 	}
 	return buf
@@ -61,8 +62,8 @@ func (r *RHIK) LoadState(data []byte) error {
 		p++
 		ppa := nand.PPA(binary.LittleEndian.Uint64(data[p:]))
 		p += 8
-		g.dirs[i] = dirEntry{ppa: ppa, has: has}
 		if has {
+			g.dirs[i].set(ppa)
 			live[ppa] = uint64(i)
 		}
 	}
@@ -85,9 +86,9 @@ func (r *RHIK) LoadState(data []byte) error {
 func (r *RHIK) PersistentPages() []nand.PPA {
 	dirs := r.g().dirs
 	pages := make([]nand.PPA, 0, len(dirs))
-	for _, d := range dirs {
-		if d.has {
-			pages = append(pages, d.ppa)
+	for i := range dirs {
+		if ppa, has := dirs[i].page(); has {
+			pages = append(pages, ppa)
 		}
 	}
 	return pages
@@ -116,7 +117,7 @@ func (r *RHIK) RangeRecords(f func(lo, hi, rp uint64) bool) error {
 	g := r.g()
 	stop := false
 	for bucket := range g.dirs {
-		if _, cached := r.cache.Get(uint64(bucket)); !cached && !g.dirs[bucket].has {
+		if _, cached := r.cache.Get(uint64(bucket)); !cached && g.dirs[bucket].w.Load() == 0 {
 			continue
 		}
 		e, err := r.loadTable(uint64(bucket))

@@ -273,8 +273,10 @@ func (s *devStats) snapshot() Stats {
 //     retired tables and erased flash buffers from being reused
 //     underneath the read, and index.ErrOptimisticRetry /
 //     index.ErrNeedExclusive are returned — before any simulated-time
-//     charge — when a concurrent mutation interferes or the state is
-//     not DRAM-resident.
+//     charge — when a concurrent mutation interferes or the read must
+//     change index structure (a miss that installs its table, a bucket
+//     still migrating) or resolve an open page buffer. A miss that
+//     leaves the cache alone is answered from the bucket's index page.
 //   - Retrieve/RetrieveAppend/Exist re-execute under the caller's
 //     exclusive lock.
 //

@@ -1,8 +1,6 @@
 package device
 
 import (
-	"sync/atomic"
-
 	"repro/internal/ftl"
 	"repro/internal/index"
 	"repro/internal/layout"
@@ -15,29 +13,50 @@ import (
 // can proceed, so metadata misses directly throttle the device — the
 // effect Figs. 2 and 5 quantify.
 //
-// The cursor and the metadata-read counter are atomic because concurrent
-// readers (the lock-free tier) advance the same firmware timeline: every
-// assignment in the device is a monotone advance, so CAS-max (AdvanceTo)
-// and atomic add preserve the exact single-threaded arithmetic while
-// staying race-clean under contention. ReadPage/AppendPage/Invalidate
-// restructure device state and only run under the exclusive lock.
+// The cursor is atomic because concurrent readers (the lock-free tier)
+// advance the same firmware timeline: every assignment in the device is
+// a monotone advance, so CAS-max (AdvanceTo) preserves the exact
+// single-threaded arithmetic while staying race-clean under contention.
+// ReadPage/AppendPage/Invalidate restructure device state and only run
+// under the exclusive lock.
 type idxEnv struct {
-	d         *Device
-	now       sim.AtomicTime
-	metaReads atomic.Int64
+	d   *Device
+	now sim.AtomicTime
+	// reads counts the index pages ReadPage read for the command that
+	// holds the exclusive lock; each command zeroes it before its index
+	// operations and records it after. Writer-side only: a lock-free
+	// read charges its page with chargePage and counts it itself.
+	reads int64
 }
 
-var _ index.Env = (*idxEnv)(nil)
+var (
+	_ index.Env        = (*idxEnv)(nil)
+	_ index.PagePeeker = (*idxEnv)(nil)
+)
 
 func (e *idxEnv) ReadPage(p nand.PPA) ([]byte, error) {
+	data, err := e.chargePage(p)
+	if err == nil {
+		e.reads++
+	}
+	return data, err
+}
+
+// chargePage reads index page p on the firmware timeline, which the read
+// blocks: the mapping must resolve before the command proceeds. It is
+// ReadPage's charge, and the one a lock-free probe that answered from
+// the page's image pays for it.
+func (e *idxEnv) chargePage(p nand.PPA) ([]byte, error) {
 	data, _, done, err := e.d.flash.Read(e.now.Load(), p)
 	if err != nil {
 		return nil, err
 	}
 	e.now.AdvanceTo(done)
-	e.metaReads.Add(1)
 	return data, nil
 }
+
+// PeekPage is the uncharged read the lock-free probe decides with.
+func (e *idxEnv) PeekPage(p nand.PPA) []byte { return e.d.flash.Peek(p) }
 
 func (e *idxEnv) AppendPage(data []byte) (nand.PPA, error) {
 	ppa, err := e.d.nextIndexPage()
@@ -72,8 +91,6 @@ func (e *idxEnv) Invalidate(p nand.PPA) {
 }
 
 func (e *idxEnv) ChargeCPU(d sim.Duration) { e.now.Advance(d) }
-
-func (e *idxEnv) MetaReads() int64 { return e.metaReads.Load() }
 
 func (e *idxEnv) Now() sim.Time { return e.now.Load() }
 

@@ -190,7 +190,12 @@ func (d *Device) collect() error {
 	default:
 		return ErrDeviceFull
 	}
+	return d.collectBlock(victim)
+}
 
+// collectBlock relocates victim's live contents, erases it and returns
+// it to the pool.
+func (d *Device) collectBlock(victim nand.BlockID) error {
 	// The erase below can yank pages out from under an in-flight
 	// optimistic reader; the structure-mutation bracket turns any flash
 	// error it sees into a retry.

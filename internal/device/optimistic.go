@@ -19,8 +19,13 @@ import (
 //     RevalidateOptimistic). Every mutation that could invalidate the
 //     probed record pointer — an insert, delete, GC relocation, cache
 //     eviction, or re-configuration of its bucket — bumps that bucket's
-//     version or unpublishes its table, so the final revalidation after
-//     all dependent flash reads is the read's linearization point.
+//     version, unpublishes its table, or repoints its directory slot,
+//     so the final revalidation after all dependent flash reads is the
+//     read's linearization point. A bucket whose table is not resident
+//     is answered from its index page's image when the locked read would
+//     leave the cache alone too; the probe reads the page with no
+//     charge, and the one index read is charged only once the probe has
+//     decided to answer.
 //   - An epoch pin (taken before the probe, released after the last
 //     dependent access) keeps retired record tables and erased flash
 //     page buffers from being REUSED while this reader might still
@@ -34,43 +39,57 @@ import (
 // Refusals (ErrNeedExclusive) and retries (ErrOptimisticRetry) detected
 // before the probe validates are zero-charge: no simulated time, no
 // counters. Once the probe validates, the charge sequence mirrors the
-// exclusive retrieve()/exist() bodies exactly, so a single-threaded run
-// produces a byte-identical timeline whichever path serves the command.
+// exclusive retrieve()/exist() bodies exactly, index page read included,
+// so a single-threaded run produces a byte-identical timeline whichever
+// path serves the command.
 // Charges made before a LATER validation fails stand — the speculative
 // work really occupied the firmware — so only genuinely-raced
 // operations pay for a retry.
 
 // TryRetrieveOptimistic executes a get with no caller lock. It returns
-// index.ErrNeedExclusive when no lock-free read can succeed (bucket not
-// DRAM-resident, record still in a volatile buffer, pin table full, or
-// the index has no optimistic surface) and index.ErrOptimisticRetry
-// when a concurrent mutation invalidated the attempt; both refusals are
-// made before any simulated-time charge if detected at the probe. On
-// success the value is appended to dst.
+// index.ErrNeedExclusive when no lock-free read can succeed (a miss the
+// locked read would install, a bucket still migrating, a record still
+// in a volatile buffer, pin table full, or the index has no optimistic
+// surface) and index.ErrOptimisticRetry when a concurrent mutation
+// invalidated the attempt; both refusals are made before any
+// simulated-time charge if detected at the probe. On success the value
+// is appended to dst.
 func (d *Device) TryRetrieveOptimistic(submitAt sim.Time, key, dst []byte) ([]byte, sim.Time, error) {
 	if d.closed.Load() {
 		return dst, d.env.now.Load(), ErrClosed
 	}
-	r := d.optIdx.Load()
-	if r == nil {
-		return dst, 0, index.ErrNeedExclusive
+	m1, r, err := d.optBegin()
+	if err != nil {
+		return dst, 0, err
 	}
 	pin, ok := d.reclaim.TryPin()
 	if !ok {
 		return dst, 0, index.ErrNeedExclusive
 	}
 	// Unpin open-coded (no defer) to keep the hot path allocation-free.
-	v, done, err := d.tryRetrieveOptimistic(r, submitAt, key, dst)
+	v, done, err := d.tryRetrieveOptimistic(r, m1, submitAt, key, dst)
 	d.reclaim.Unpin(pin)
 	return v, done, err
 }
 
-// tryRetrieveOptimistic is the pinned body of TryRetrieveOptimistic.
-func (d *Device) tryRetrieveOptimistic(r *core.RHIK, submitAt sim.Time, key, dst []byte) ([]byte, sim.Time, error) {
-	m1 := d.mutSeq.Load()
-	if m1&1 != 0 {
-		return dst, 0, index.ErrOptimisticRetry
+// optBegin snapshots the structure-mutation sequence and then loads the
+// index a lock-free read runs against. The order matters: Restart swaps
+// the index inside its bracket, so a read that got the index it
+// replaced sees the sequence move and retries instead of answering
+// from a directory nothing updates any more.
+func (d *Device) optBegin() (m1 uint64, r *core.RHIK, err error) {
+	m1 = d.mutSeq.Load()
+	if r = d.optIdx.Load(); r == nil {
+		return 0, nil, index.ErrNeedExclusive
 	}
+	if m1&1 != 0 {
+		return 0, nil, index.ErrOptimisticRetry
+	}
+	return m1, r, nil
+}
+
+// tryRetrieveOptimistic is the pinned body of TryRetrieveOptimistic.
+func (d *Device) tryRetrieveOptimistic(r *core.RHIK, m1 uint64, submitAt sim.Time, key, dst []byte) ([]byte, sim.Time, error) {
 	sig := d.scheme.Compute(key)
 	var vgen uint64
 	if d.vcache != nil {
@@ -104,12 +123,15 @@ func (d *Device) tryRetrieveOptimistic(r *core.RHIK, submitAt sim.Time, key, dst
 	d.env.now.AdvanceTo(arrive)
 	start := submitAt
 	d.env.ChargeCPU(d.cfg.CmdCPU)
-	d.env.ChargeCPU(r.OptimisticLookupCost())
-	d.metaPerOp.Record(0)
-	d.metaPerGet.Record(0)
+	meta, err := d.chargeLookup(r, probe)
+	if err != nil {
+		return dst, 0, d.optFlashErr(r, probe, m1)
+	}
+	d.metaPerOp.Record(meta)
+	d.metaPerGet.Record(meta)
 
 	if !probe.Found {
-		if !r.RevalidateOptimistic(probe) || d.mutSeq.Load() != m1 {
+		if !d.optValid(r, probe, m1) {
 			return dst, 0, index.ErrOptimisticRetry
 		}
 		r.CommitOptimistic(probe)
@@ -117,19 +139,10 @@ func (d *Device) tryRetrieveOptimistic(r *core.RHIK, submitAt sim.Time, key, dst
 	}
 	hdr, storedKey, value, done, err := d.readFlashPair(layout.RP(probe.RP), true, false)
 	if err != nil {
-		// Never surface a raw flash error from the lock-free tier. If the
-		// structure moved underneath us this is a raced read — retry. If
-		// it did not, the likely cause is a continuation page of a
-		// multi-page pair still sitting in the open write buffer (only the
-		// head page was pre-checked readable); the exclusive path resolves
-		// pending pairs, and re-reports any genuine fault.
-		if !r.RevalidateOptimistic(probe) || d.mutSeq.Load() != m1 {
-			return dst, 0, index.ErrOptimisticRetry
-		}
-		return dst, 0, index.ErrNeedExclusive
+		return dst, 0, d.optFlashErr(r, probe, m1)
 	}
 	if hdr.Tombstone() || !bytes.Equal(storedKey, key) {
-		if !r.RevalidateOptimistic(probe) || d.mutSeq.Load() != m1 {
+		if !d.optValid(r, probe, m1) {
 			return dst, 0, index.ErrOptimisticRetry
 		}
 		r.CommitOptimistic(probe)
@@ -138,12 +151,12 @@ func (d *Device) tryRetrieveOptimistic(r *core.RHIK, submitAt sim.Time, key, dst
 	if now := d.env.now.Load(); done < now {
 		done = now
 	}
-	// Linearization point: the probed table version is unchanged after
-	// every dependent flash access, so RP, the pair bytes, and the key
+	// Linearization point: the probe is still current after every
+	// dependent flash access, so RP, the pair bytes, and the key
 	// comparison all belong to one consistent index state. The value
 	// slice stays stable past this point because the epoch pin blocks
 	// reuse of its underlying buffer even if the block is erased now.
-	if !r.RevalidateOptimistic(probe) || d.mutSeq.Load() != m1 {
+	if !d.optValid(r, probe, m1) {
 		return dst, 0, index.ErrOptimisticRetry
 	}
 	r.CommitOptimistic(probe)
@@ -167,25 +180,21 @@ func (d *Device) TryExistOptimistic(submitAt sim.Time, key []byte) (bool, sim.Ti
 	if d.closed.Load() {
 		return false, d.env.now.Load(), ErrClosed
 	}
-	r := d.optIdx.Load()
-	if r == nil {
-		return false, 0, index.ErrNeedExclusive
+	m1, r, err := d.optBegin()
+	if err != nil {
+		return false, 0, err
 	}
 	pin, ok := d.reclaim.TryPin()
 	if !ok {
 		return false, 0, index.ErrNeedExclusive
 	}
-	found, done, err := d.tryExistOptimistic(r, submitAt, key)
+	found, done, err := d.tryExistOptimistic(r, m1, submitAt, key)
 	d.reclaim.Unpin(pin)
 	return found, done, err
 }
 
 // tryExistOptimistic is the pinned body of TryExistOptimistic.
-func (d *Device) tryExistOptimistic(r *core.RHIK, submitAt sim.Time, key []byte) (bool, sim.Time, error) {
-	m1 := d.mutSeq.Load()
-	if m1&1 != 0 {
-		return false, 0, index.ErrOptimisticRetry
-	}
+func (d *Device) tryExistOptimistic(r *core.RHIK, m1 uint64, submitAt sim.Time, key []byte) (bool, sim.Time, error) {
 	sig := d.scheme.Compute(key)
 	probe, st := r.PeekOptimistic(sig)
 	switch st {
@@ -198,17 +207,20 @@ func (d *Device) tryExistOptimistic(r *core.RHIK, submitAt sim.Time, key []byte)
 		return false, 0, index.ErrNeedExclusive
 	}
 
-	// Mirror the exclusive exist() charges: command CPU, the lookup
-	// charge, and a zero metadata-read sample (exist does not feed the
-	// per-get histogram).
+	// Mirror the exclusive exist() charges: command CPU, the lookup and
+	// its metadata-read sample (exist does not feed the per-get
+	// histogram).
 	arrive := d.hostXfer(submitAt, len(key))
 	d.env.now.AdvanceTo(arrive)
 	d.env.ChargeCPU(d.cfg.CmdCPU)
-	d.env.ChargeCPU(r.OptimisticLookupCost())
-	d.metaPerOp.Record(0)
+	meta, err := d.chargeLookup(r, probe)
+	if err != nil {
+		return false, 0, d.optFlashErr(r, probe, m1)
+	}
+	d.metaPerOp.Record(meta)
 
 	if !probe.Found {
-		if !r.RevalidateOptimistic(probe) || d.mutSeq.Load() != m1 {
+		if !d.optValid(r, probe, m1) {
 			return false, 0, index.ErrOptimisticRetry
 		}
 		r.CommitOptimistic(probe)
@@ -217,19 +229,47 @@ func (d *Device) tryExistOptimistic(r *core.RHIK, submitAt sim.Time, key []byte)
 	}
 	hdr, storedKey, _, _, err := d.readFlashPair(layout.RP(probe.RP), false, true)
 	if err != nil {
-		// Same contract as the retrieve body: raced → retry, otherwise
-		// escalate so the exclusive path resolves pending continuation
-		// pages or re-reports a genuine fault. Raw flash errors never
-		// escape the lock-free tier.
-		if !r.RevalidateOptimistic(probe) || d.mutSeq.Load() != m1 {
-			return false, 0, index.ErrOptimisticRetry
-		}
-		return false, 0, index.ErrNeedExclusive
+		return false, 0, d.optFlashErr(r, probe, m1)
 	}
-	if !r.RevalidateOptimistic(probe) || d.mutSeq.Load() != m1 {
+	if !d.optValid(r, probe, m1) {
 		return false, 0, index.ErrOptimisticRetry
 	}
 	r.CommitOptimistic(probe)
 	d.stats.exists.Add(1)
 	return !hdr.Tombstone() && bytes.Equal(storedKey, key), d.env.now.Load(), nil
+}
+
+// chargeLookup charges a validated probe's index lookup as the locked
+// Get charges it: the lookup CPU, then — when the probe answered from
+// its bucket's page image — that page's read. It reports the index
+// pages read, the command's metadata-read sample.
+func (d *Device) chargeLookup(r *core.RHIK, probe core.OptProbe) (int64, error) {
+	d.env.ChargeCPU(r.OptimisticLookupCost())
+	if !probe.FromPage {
+		return 0, nil
+	}
+	if _, err := d.env.chargePage(probe.Page); err != nil {
+		return 0, err
+	}
+	return 1, nil
+}
+
+// optValid reports whether a probe and the device structure it was
+// taken against (mutSeq snapshot m1) are both unchanged.
+func (d *Device) optValid(r *core.RHIK, probe core.OptProbe, m1 uint64) bool {
+	return r.RevalidateOptimistic(probe) && d.mutSeq.Load() == m1
+}
+
+// optFlashErr turns a flash error met after the probe validated into the
+// lock-free tier's answer; raw flash errors never escape it. If the
+// probe or the structure moved underneath the read, it raced: retry.
+// If not, the likely cause is a continuation page of a multi-page pair
+// still in the open write buffer (only the head page was pre-checked
+// readable), or an injected fault: the exclusive path resolves pending
+// pairs and re-reports genuine faults.
+func (d *Device) optFlashErr(r *core.RHIK, probe core.OptProbe, m1 uint64) error {
+	if !d.optValid(r, probe, m1) {
+		return index.ErrOptimisticRetry
+	}
+	return index.ErrNeedExclusive
 }

@@ -109,12 +109,11 @@ func (d *Device) retrieve(submitAt sim.Time, key, dst []byte, sig index.Sig) ([]
 	d.env.now.AdvanceTo(arrive)
 	start := submitAt
 	d.env.ChargeCPU(d.cfg.CmdCPU)
-	metaBefore := d.env.metaReads.Load()
+	d.env.reads = 0
 
 	rp, ok, err := d.idx.Get(sig)
-	metaDelta := d.env.metaReads.Load() - metaBefore
-	d.metaPerOp.Record(metaDelta)
-	d.metaPerGet.Record(metaDelta)
+	d.metaPerOp.Record(d.env.reads)
+	d.metaPerGet.Record(d.env.reads)
 	if err != nil {
 		return dst, d.env.now.Load(), err
 	}
@@ -180,10 +179,10 @@ func (d *Device) exist(submitAt sim.Time, key []byte, sig index.Sig) (bool, sim.
 	arrive := d.hostXfer(submitAt, len(key))
 	d.env.now.AdvanceTo(arrive)
 	d.env.ChargeCPU(d.cfg.CmdCPU)
-	metaBefore := d.env.metaReads.Load()
+	d.env.reads = 0
 
 	rp, ok, err := d.idx.Get(sig)
-	d.metaPerOp.Record(d.env.metaReads.Load() - metaBefore)
+	d.metaPerOp.Record(d.env.reads)
 	if err != nil {
 		return false, d.env.now.Load(), err
 	}

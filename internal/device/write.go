@@ -244,7 +244,7 @@ func (d *Device) Store(submitAt sim.Time, key, value []byte) (sim.Time, error) {
 	if err := d.reserve(1 + d.indexBlocks(1+d.splitPages(2))); err != nil {
 		return d.env.now.Load(), err
 	}
-	metaBefore := d.env.metaReads.Load()
+	d.env.reads = 0
 
 	sig := d.scheme.Compute(key)
 	oldRP, existed, err := d.idx.Lookup(sig)
@@ -303,7 +303,7 @@ func (d *Device) Store(submitAt sim.Time, key, value []byte) (sim.Time, error) {
 		d.vcache.Invalidate(sig.Lo, key)
 	}
 
-	d.metaPerOp.Record(d.env.metaReads.Load() - metaBefore)
+	d.metaPerOp.Record(d.env.reads)
 	d.stats.stores.Add(1)
 	d.stats.bytesWritten.Add(int64(len(key) + len(value)))
 	if err := d.afterMutation(); err != nil {
@@ -328,7 +328,7 @@ func (d *Device) Delete(submitAt sim.Time, key []byte) (sim.Time, error) {
 	if err := d.reserve(1 + d.indexBlocks(1+d.splitPages(2))); err != nil {
 		return d.env.now.Load(), err
 	}
-	metaBefore := d.env.metaReads.Load()
+	d.env.reads = 0
 
 	sig := d.scheme.Compute(key)
 	rp, ok, err := d.idx.Lookup(sig)
@@ -359,7 +359,7 @@ func (d *Device) Delete(submitAt sim.Time, key []byte) (sim.Time, error) {
 		d.vcache.Invalidate(sig.Lo, key)
 	}
 
-	d.metaPerOp.Record(d.env.metaReads.Load() - metaBefore)
+	d.metaPerOp.Record(d.env.reads)
 	d.stats.deletes.Add(1)
 	if err := d.afterMutation(); err != nil {
 		return d.env.now.Load(), err

@@ -51,6 +51,9 @@ type Node struct {
 
 func (n *Node) node() *Node { return n }
 
+// Referenced reports the node's reference bit. Safe from any goroutine.
+func (n *Node) Referenced() bool { return n.ref.Load() }
+
 // Value is what a Cache holds: a pointer to a type that embeds Node.
 type Value interface{ node() *Node }
 
@@ -75,6 +78,7 @@ type Cache[V Value] struct {
 	hand    int
 	byKey   map[uint64]V
 	onEvict EvictFunc[V]
+	mods    uint64 // counts changes to membership, hand and budget
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -129,6 +133,11 @@ func (c *Cache[V]) TouchHit(v V) {
 	v.node().ref.Store(true)
 }
 
+// TouchMiss counts one miss, the side effect of a Get that found
+// nothing, for a lookup that skipped the key map. Safe from any
+// goroutine.
+func (c *Cache[V]) TouchMiss() { c.misses.Add(1) }
+
 // Put inserts or updates key with the given value and size, evicting
 // other entries as needed to respect the budget: the caller goes on to
 // use what it just cached, so the sweep never claims the touched entry
@@ -151,28 +160,33 @@ func (c *Cache[V]) Put(key uint64, v V, size int64) {
 	n.key, n.size = key, max(size, 0)
 	n.ref.Store(true)
 	c.used += n.size
+	c.mods++
 	c.evictToBudget(n)
 }
 
 // Victim reports the value a Put of a new key of the given size would
-// evict first, and false when that Put fits the budget and evicts
-// nothing. It is what the next eviction will claim, but it claims
-// nothing itself: the hand stays put and no reference bit is cleared.
-// Writer-side only.
-func (c *Cache[V]) Victim(size int64) (V, bool) {
+// evict first, and evicts false when that Put fits the budget and
+// evicts nothing. It is what the next eviction will claim, but it
+// claims nothing itself: the hand stays put and no reference bit is
+// cleared. The victim is the first entry from the hand whose reference
+// bit is clear; held reports that none was, so the eviction's first
+// sweep will clear them all and come back to the hand's entry, v. Bits
+// set by readers after the call can then not change v; otherwise they
+// change it only if they set v's own bit. Writer-side only.
+func (c *Cache[V]) Victim(size int64) (v V, evicts, held bool) {
 	if c.used+size <= c.budget || len(c.ring) == 0 {
-		var zero V
-		return zero, false
+		return v, false, false
 	}
-	return c.peekVictim(), true
+	v, held = c.peekVictim()
+	return v, true, held
 }
 
 // peekVictim returns the entry the next eviction would claim — the first
 // clear-ref entry from the hand — without granting second chances or
 // moving the hand. Falls back to the hand entry when every ref bit is
-// set (the real eviction would clear them and come back around). The
-// ring must not be empty.
-func (c *Cache[V]) peekVictim() V {
+// set (the real eviction would clear them and come back around), and
+// then reports held. The ring must not be empty.
+func (c *Cache[V]) peekVictim() (V, bool) {
 	n := len(c.ring)
 	h := c.hand
 	for i := 0; i < n; i++ {
@@ -180,14 +194,14 @@ func (c *Cache[V]) peekVictim() V {
 			h = 0
 		}
 		if !c.ring[h].node().ref.Load() {
-			return c.ring[h]
+			return c.ring[h], false
 		}
 		h++
 	}
 	if c.hand < n {
-		return c.ring[c.hand]
+		return c.ring[c.hand], true
 	}
-	return c.ring[0]
+	return c.ring[0], true
 }
 
 // evictToBudget removes entries until the budget holds, always keeping at
@@ -244,6 +258,7 @@ func (c *Cache[V]) unlink(n *Node) {
 	}
 	delete(c.byKey, n.key)
 	c.used -= n.size
+	c.mods++
 }
 
 // Remove drops key from the cache without invoking the eviction callback
@@ -283,8 +298,15 @@ func (c *Cache[V]) Range(f func(key uint64, value V, size int64) bool) {
 // Resize changes the byte budget, evicting as needed.
 func (c *Cache[V]) Resize(budget int64) {
 	c.budget = max(budget, 0)
+	c.mods++
 	c.evictToBudget(nil)
 }
+
+// Mods counts the calls that changed what Victim can report: every
+// insert, removal, eviction and budget change. Reference bits that
+// readers set between two such calls can only move the victim later in
+// the sweep. Writer-side.
+func (c *Cache[V]) Mods() uint64 { return c.mods }
 
 // Len reports the number of cached entries.
 func (c *Cache[V]) Len() int { return len(c.ring) }

@@ -383,12 +383,14 @@ func TestPutNeverEvictsItsOwnEntry(t *testing.T) {
 // Put/Get schedule, asking one of them for its Victim before every Put.
 // The answer must be the first entry that Put then evicts (or none when
 // it evicts nothing), and asking must change nothing: both caches evict
-// the same keys in the same order.
+// the same keys in the same order. A victim is held exactly when every
+// cached entry is referenced; otherwise its own bit is clear.
 func TestVictimPredictsEviction(t *testing.T) {
 	var asked, quiet []uint64
+	heldSeen := false
 	c := New(50, func(key uint64, _ *item, _ int64) { asked = append(asked, key) })
 	twin := New(50, func(key uint64, _ *item, _ int64) { quiet = append(quiet, key) })
-	if _, ok := c.Victim(10); ok {
+	if _, ok, _ := c.Victim(10); ok {
 		t.Fatal("empty cache reported a victim")
 	}
 	state := uint64(7)
@@ -400,7 +402,15 @@ func TestVictimPredictsEviction(t *testing.T) {
 			twin.Get(key)
 			continue
 		}
-		want, evicts := c.Victim(10)
+		want, evicts, held := c.Victim(10)
+		if evicts {
+			all := true
+			c.Range(func(_ uint64, v *item, _ int64) bool { all = all && v.Referenced(); return true })
+			if held != all || !held && want.Referenced() {
+				t.Fatalf("op %d: victim %d held=%v referenced=%v, every entry referenced=%v", i, want.v, held, want.Referenced(), all)
+			}
+			heldSeen = heldSeen || held
+		}
 		if c.Contains(key) {
 			evicts = false // an update never evicts: same size, same budget
 		}
@@ -416,5 +426,8 @@ func TestVictimPredictsEviction(t *testing.T) {
 	}
 	if len(asked) == 0 || !slices.Equal(asked, quiet) {
 		t.Fatalf("asking for victims changed evictions: %d vs %d", len(asked), len(quiet))
+	}
+	if !heldSeen {
+		t.Fatal("no victim was held: the schedule never referenced every entry")
 	}
 }

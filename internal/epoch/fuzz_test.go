@@ -15,11 +15,11 @@ import (
 //  2. Nothing leaks: after all pins are released and the domain
 //     quiesces, every retired object has been freed exactly once.
 func FuzzEpochReclaim(f *testing.F) {
-	f.Add([]byte{0, 2, 3, 1, 3})                         // pin, retire, collect, unpin, collect
-	f.Add([]byte{2, 2, 3, 3})                            // retire-heavy, no pins
-	f.Add([]byte{0, 0, 0, 2, 1, 3, 2, 3, 1, 1, 3})      // staggered unpins
-	f.Add([]byte{0, 1, 0, 1, 0, 1, 2, 3, 2, 3, 2, 3})   // pin churn
-	f.Add([]byte{2, 0, 3, 1, 3})                         // pin after retire must not block
+	f.Add([]byte{0, 2, 3, 1, 3})                      // pin, retire, collect, unpin, collect
+	f.Add([]byte{2, 2, 3, 3})                         // retire-heavy, no pins
+	f.Add([]byte{0, 0, 0, 2, 1, 3, 2, 3, 1, 1, 3})    // staggered unpins
+	f.Add([]byte{0, 1, 0, 1, 0, 1, 2, 3, 2, 3, 2, 3}) // pin churn
+	f.Add([]byte{2, 0, 3, 1, 3})                      // pin after retire must not block
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewDomain()
 

@@ -20,13 +20,13 @@ import (
 // with a different key.
 var ErrCollision = errors.New("index: uncorrectable signature collision, operation aborted")
 
-// ErrNeedExclusive is returned by the shared (reader-locked) and
-// optimistic (lock-free) device read paths when an operation cannot
-// proceed without mutating index structure — a DRAM cache miss that must
-// load a page, or a lazy migration step during incremental resize. The
-// shard catches it before any simulated-time charge has been made,
-// takes the write lock, and re-executes the operation on the exclusive
-// path.
+// ErrNeedExclusive is returned by the optimistic (lock-free) device read
+// path when an operation cannot proceed without mutating index
+// structure — a DRAM cache miss whose read installs the table, or a
+// lazy migration step during incremental resize — or must resolve a
+// record still in an open page buffer. The shard catches it before any
+// simulated-time charge has been made, takes the write lock, and
+// re-executes the operation on the exclusive path.
 var ErrNeedExclusive = errors.New("index: lookup needs exclusive access")
 
 // ErrOptimisticRetry is returned by the lock-free read path when a
@@ -77,11 +77,18 @@ type Env interface {
 	Invalidate(p nand.PPA)
 	// ChargeCPU advances the firmware timeline by d (hashing, probing).
 	ChargeCPU(d sim.Duration)
-	// MetaReads reports cumulative metadata flash reads; the device
-	// samples it around each operation for per-op distributions.
-	MetaReads() int64
 	// Now reports the current firmware time (for resize timing).
 	Now() sim.Time
+}
+
+// PagePeeker is an Env that can also hand out an index page's image with
+// no side effect at all: no simulated time, no counters, no injected
+// faults. RHIK's lock-free probe reads a bucket's page through it and
+// leaves the charge to its caller, which makes it only once it knows
+// the page answers the command. PeekPage returns nil for a page that
+// is not programmed. Safe from any goroutine.
+type PagePeeker interface {
+	PeekPage(p nand.PPA) []byte
 }
 
 // Index is a key-signature → record-pointer map backed by flash pages.

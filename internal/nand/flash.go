@@ -330,12 +330,32 @@ func (f *Flash) RecycleBuffers(bufs [][]byte) {
 // updates. Safe from any goroutine; the optimistic read path uses it to
 // refuse volatile (pending/unprogrammed) pages before charging any
 // simulated time.
-func (f *Flash) PageReadable(p PPA) bool {
+func (f *Flash) PageReadable(p PPA) bool { return f.page(p) != nil }
+
+// Peek returns page p's data area, or nil when p is not programmed, with
+// none of Read's side effects: no fault consumption, no resource
+// scheduling, no counter updates. The slice aliases the array's storage
+// like Read's. Safe from any goroutine; the optimistic read path probes
+// an index page with it and charges the read only once it knows the
+// page answers the command.
+func (f *Flash) Peek(p PPA) []byte {
+	if pg := f.page(p); pg != nil {
+		return pg.data
+	}
+	return nil
+}
+
+// page loads page p's published payload, nil when unprogrammed or out
+// of range.
+func (f *Flash) page(p PPA) *flashPage {
 	if f.checkPPA(p) != nil {
-		return false
+		return nil
 	}
 	arr := f.blocks[f.BlockOf(p)].pages.Load()
-	return arr != nil && (*arr)[f.PageIndex(p)].Load() != nil
+	if arr == nil {
+		return nil
+	}
+	return (*arr)[f.PageIndex(p)].Load()
 }
 
 // ProgrammedPages reports how many pages of block b are written.

@@ -5,9 +5,9 @@
 //
 //   - GET and EXIST run on the reader through the set's lock-free tier
 //     (Set.TryRetrieveAppend, Set.TryExist), replying straight to the
-//     connection's outbound queue. Only a read that tier refuses (page-in,
-//     lazy migration, a value in an open page buffer) queues to its
-//     shard's worker.
+//     connection's outbound queue. Only a read that tier refuses (a
+//     page-in that installs, lazy migration, a value in an open page
+//     buffer) queues to its shard's worker.
 //   - With a WAL attached, PUT and DEL go straight to the shard's group
 //     committer (Set.TrySubmit), which replies once their group is
 //     applied and logged. Without one they queue to the shard's worker,

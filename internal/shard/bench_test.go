@@ -4,8 +4,11 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/hopscotch"
 	"repro/internal/index"
+	"repro/internal/nand"
 	"repro/internal/workload"
 )
 
@@ -50,21 +53,31 @@ func benchSet(tb testing.TB, keys int, mutate ...func(*device.Config)) (*Set, []
 }
 
 // TestOptimisticGetZeroAlloc pins the allocation claim across the read
-// tiers: a DRAM-resident get with a reused value buffer allocates
-// nothing, whether it flows lock-free through the index (the default)
-// or — with the hot-value tier on — straight out of the value cache
+// tiers: a get with a reused value buffer allocates nothing, whether it
+// flows lock-free through a DRAM-resident table (the default), answers
+// lock-free from the page image of a table that is not resident (cold:
+// half the index cached, every table clean, so no miss installs), or —
+// with the hot-value tier on — comes straight out of the value cache
 // without touching the index at all.
 func TestOptimisticGetZeroAlloc(t *testing.T) {
-	for _, mode := range []string{"optimistic", "valuecache"} {
+	for _, mode := range []string{"optimistic", "cold", "valuecache"} {
 		t.Run(mode, func(t *testing.T) {
 			var mutate []func(*device.Config)
-			if mode == "valuecache" {
+			switch mode {
+			case "cold":
+				mutate = append(mutate, func(c *device.Config) {
+					r := core.RecordsPerTable(nand.DefaultConfig(c.Capacity).PageSize, false)
+					c.AnticipatedKeys = 16 * int64(r)
+					c.CacheBudget = 8 * int64(hopscotch.EncodedSize(r))
+				})
+			case "valuecache":
 				mutate = append(mutate, func(c *device.Config) { c.ValueCacheBudget = 1 << 20 })
 			}
 			set, ks := benchSet(t, 256, mutate...)
 			defer set.Close()
 			dst := make([]byte, 0, 256)
 			i := 0
+			before := set.Stats()
 			allocs := testing.AllocsPerRun(2000, func() {
 				v, err := set.RetrieveAppend(dst[:0], ks[i%len(ks)])
 				if err != nil {
@@ -74,19 +87,27 @@ func TestOptimisticGetZeroAlloc(t *testing.T) {
 				i++
 			})
 			if allocs != 0 {
-				t.Fatalf("%s cache-hit get allocates %.1f times per op, want 0", mode, allocs)
+				t.Fatalf("%s get allocates %.1f times per op, want 0", mode, allocs)
 			}
 			st := set.Stats()
+			fallbacks := st.FallbackExclusive - before.FallbackExclusive
 			switch mode {
 			case "optimistic":
-				if st.FallbackExclusive > 0 || st.OptimisticReads == 0 {
+				if fallbacks > 0 || st.OptimisticReads == 0 {
 					t.Fatalf("optimistic=%d fallbacks=%d: not measuring the lock-free path",
-						st.OptimisticReads, st.FallbackExclusive)
+						st.OptimisticReads, fallbacks)
+				}
+			case "cold":
+				pageReads := st.MetaPerGet.Count() - st.MetaPerGet.CountAtMost(0) -
+					(before.MetaPerGet.Count() - before.MetaPerGet.CountAtMost(0))
+				if fallbacks > 0 || pageReads == 0 {
+					t.Fatalf("fallbacks=%d gets answered from a page image=%d: not measuring the lock-free cold path",
+						fallbacks, pageReads)
 				}
 			case "valuecache":
-				if st.Dev.ValueCacheHits == 0 || st.FallbackExclusive > 0 {
+				if st.Dev.ValueCacheHits == 0 || fallbacks > 0 {
 					t.Fatalf("vhits=%d fallbacks=%d: not measuring the value-cache hit path",
-						st.Dev.ValueCacheHits, st.FallbackExclusive)
+						st.Dev.ValueCacheHits, fallbacks)
 				}
 			}
 		})

@@ -21,8 +21,9 @@
 // epoch-pinned reclamation, returning ErrOptimisticRetry when a
 // concurrent writer invalidated the attempt (retried up to
 // maxOptimisticRetries) or ErrNeedExclusive when the lookup must mutate
-// index structure (cache miss, unmigrated bucket, value in an open page
-// buffer) or the index has no optimistic surface (mlhash, lsm).
+// index structure (a cache miss whose read installs the table, an
+// unmigrated bucket), must read a value still in an open page buffer,
+// or the index has no optimistic surface (mlhash, lsm).
 // RetrieveAppend and Exist try that tier first and re-execute under the
 // write lock on refusal. Lock-free reads run concurrently with writers,
 // mutating only atomics (clock advances, counters, CLOCK ref bits).
@@ -55,8 +56,8 @@ const maxOptimisticRetries = 3
 // Shard is one emulated device plus the host-side submission state for
 // its command stream. The RWMutex serializes commands on this shard
 // only; commands on different shards run concurrently, and read
-// commands on the same shard run lock-free when the index answers from
-// DRAM.
+// commands on the same shard run lock-free when the index answers
+// without changing its cache.
 type Shard struct {
 	mu   sync.RWMutex
 	dev  *device.Device
@@ -189,8 +190,9 @@ func (s *Set) RetrieveAppend(dst, key []byte) ([]byte, error) {
 
 // TryRetrieveAppend is RetrieveAppend's lock-free tier alone. It
 // returns index.ErrNeedExclusive when only the shard's write lock can
-// serve the read: a page-in, a lazy migration, a value still in an open
-// page buffer, an index without an optimistic surface, or a writer that
+// serve the read: a page-in that installs the table, a lazy migration, a
+// value still in an open page buffer, an index without an optimistic
+// surface, or a writer that
 // kept invalidating the attempt. A refusal at the probe charges no
 // simulated time; RetrieveAppend then serves the read under the lock.
 func (s *Set) TryRetrieveAppend(dst, key []byte) ([]byte, error) {

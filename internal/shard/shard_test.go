@@ -7,8 +7,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/hopscotch"
 	"repro/internal/index"
+	"repro/internal/nand"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -219,86 +222,161 @@ func TestCloseErrorsIdentifyShards(t *testing.T) {
 }
 
 // TestTryReadRefusesWhatLockedReadServes pins the split between the two
-// read tiers: TryRetrieveAppend and TryExist refuse with
+// read tiers. TryRetrieveAppend and TryExist refuse with
 // ErrNeedExclusive, leaving every clock and counter as it was, exactly
 // the reads that RetrieveAppend and Exist then serve under the shard
-// lock — a value still in the open page buffer, a record table that must
-// be paged in, and any read of an index without a lock-free tier — and
-// serve everything else themselves.
+// lock: a value still in the open page buffer, a cache miss whose read
+// installs the record table (the cache has room, or its CLOCK victim is
+// dirty), and any read of an index without a lock-free tier. They serve
+// everything else themselves: reads of resident tables, and misses the
+// locked read answers from the bucket's page image, leaving the cache
+// alone. Those charge exactly what the locked read charges, which the
+// image case checks against a twin set that serves the same reads under
+// the lock.
 func TestTryReadRefusesWhatLockedReadServes(t *testing.T) {
 	const keys = 2000
+	geo := nand.DefaultConfig(64 << 20)
+	table := int64(hopscotch.EncodedSize(core.RecordsPerTable(geo.PageSize, false)))
+	// 2 000 keys of AnticipatedKeys 1<<14 spread over 16 buckets.
+	cold := device.Config{Capacity: 64 << 20, AnticipatedKeys: 1 << 14}
+	withCache := func(budget int64) device.Config { c := cold; c.CacheBudget = budget; return c }
+	var probeAll []int
+	for i := 0; i < keys-1; i += keys / 32 {
+		probeAll = append(probeAll, i)
+	}
 	cases := []struct {
 		name    string
 		cfg     device.Config
-		flush   bool  // checkpoint after loading: no value stays in a page buffer
+		flush   bool  // checkpoint after loading: no value stays in a page buffer, no table dirty
 		probe   []int // the keys read
 		refused bool  // every probed key is refused, not just some
+		twin    bool  // every read served lock-free is checked against a twin set
+		image   bool  // some probed key is answered from its page image
 	}{
 		{name: "resident", cfg: device.Config{Capacity: 64 << 20}, flush: true, probe: []int{0, 1, keys / 2, keys - 1}},
 		{name: "open-buffer", cfg: device.Config{Capacity: 64 << 20}, probe: []int{keys - 1}, refused: true},
-		{name: "page-in", cfg: device.Config{Capacity: 64 << 20, AnticipatedKeys: 1 << 14, CacheBudget: 1}, flush: true, probe: []int{0, 1, keys / 2, keys - 1}},
+		// A cache of one table always has room: every miss replaces it.
+		{name: "installs-room", cfg: withCache(1), flush: true, probe: []int{0, 1, keys / 2, keys - 1}},
+		// Loading leaves every cached table dirty, the victim included, so
+		// the first miss installs; what it leaves may be answered from an
+		// image.
+		{name: "installs-dirty-victim", cfg: withCache(8 * table), probe: probeAll, twin: true},
+		{name: "image", cfg: withCache(8 * table), flush: true, probe: probeAll, twin: true, image: true},
 		{name: "multi-level", cfg: device.Config{Capacity: 64 << 20, Index: device.IndexMultiLevel}, flush: true, probe: []int{0, keys - 1}, refused: true},
+	}
+	// Large values fill data pages fast: the newest key sits in the
+	// still-open page, the earliest keys are long on flash.
+	val := bytes.Repeat([]byte("v"), 12<<10)
+	load := func(t *testing.T, cfg device.Config, flush bool) *Set {
+		set, err := New(1, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { set.Close() })
+		for i := 0; i < keys; i++ {
+			if err := set.Store(workload.KeyBytes(uint64(i)), val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if flush {
+			if err := set.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return set
+	}
+	// charged is what a read charges; served adds which tier served it.
+	type charged struct {
+		now, last         sim.Time
+		retrieves, exists int64
+		meta, metaZero    uint64 // metadata-read samples, and those of 0 reads
+		flash             int64
+	}
+	type served struct {
+		charged
+		opt, retry, fallback int64
+	}
+	measure := func(set *Set) served {
+		sh, st := set.Shard(0), set.Stats()
+		return served{charged{sh.dev.Now(), sh.last.Load(), st.Dev.Retrieves, st.Dev.Exists,
+			st.MetaPerOp.Count(), st.MetaPerOp.CountAtMost(0), st.Flash.Reads},
+			st.OptimisticReads, st.OptimisticRetries, st.FallbackExclusive}
+	}
+	delta := func(a, b charged) charged {
+		return charged{b.now - a.now, b.last - a.last, b.retrieves - a.retrieves, b.exists - a.exists,
+			b.meta - a.meta, b.metaZero - a.metaZero, b.flash - a.flash}
+	}
+	locked := func(set *Set, k []byte) (v []byte, ok bool, err error) {
+		sh := set.Shard(0)
+		err = sh.exclusive(func(at sim.Time) (done sim.Time, err error) {
+			if v, done, err = sh.dev.RetrieveAppend(at, k, nil); err != nil {
+				return done, err
+			}
+			ok, done, err = sh.dev.Exist(done, k)
+			return done, err
+		})
+		return v, ok, err
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			set, err := New(1, tc.cfg)
-			if err != nil {
-				t.Fatal(err)
+			set := load(t, tc.cfg, tc.flush)
+			var twin *Set
+			if tc.twin {
+				twin = load(t, tc.cfg, tc.flush)
 			}
-			defer set.Close()
-			// Large values fill data pages fast: the newest key sits in the
-			// still-open page, the earliest keys are long on flash.
-			val := bytes.Repeat([]byte("v"), 12<<10)
-			for i := 0; i < keys; i++ {
-				if err := set.Store(workload.KeyBytes(uint64(i)), val); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if tc.flush {
-				if err := set.Checkpoint(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			sh := set.Shard(0)
-			type charges struct {
-				now, last            sim.Time
-				retrieves, exists    int64
-				meta                 uint64
-				flash                int64
-				opt, retry, fallback int64
-			}
-			charged := func() charges {
-				st := set.Stats()
-				return charges{sh.dev.Now(), sh.last.Load(), st.Dev.Retrieves, st.Dev.Exists,
-					st.MetaPerOp.Count(), st.Flash.Reads, st.OptimisticReads, st.OptimisticRetries, st.FallbackExclusive}
-			}
-			refusals := 0
+			refusals, fromImage := 0, 0
 			for _, i := range tc.probe {
 				k := workload.KeyBytes(uint64(i))
-				before := charged()
+				before := measure(set)
 				v, err := set.TryRetrieveAppend(nil, k)
 				refused := errors.Is(err, index.ErrNeedExclusive)
 				if !refused && (err != nil || !bytes.Equal(v, val)) {
 					t.Fatalf("key %d: TryRetrieveAppend = (%d bytes, %v)", i, len(v), err)
 				}
-				if _, xerr := set.TryExist(k); errors.Is(xerr, index.ErrNeedExclusive) != refused {
-					t.Fatalf("key %d: TryRetrieveAppend refused=%v but TryExist returned %v", i, refused, xerr)
+				ok, xerr := set.TryExist(k)
+				if errors.Is(xerr, index.ErrNeedExclusive) != refused || !refused && (xerr != nil || !ok) {
+					t.Fatalf("key %d: TryRetrieveAppend refused=%v but TryExist returned %v, %v", i, refused, ok, xerr)
 				}
 				if tc.refused && !refused {
 					t.Fatalf("key %d: served lock-free, want refused", i)
 				}
 				if !refused {
+					after := measure(set)
+					if after.opt-before.opt != 2 || after.fallback != before.fallback {
+						t.Fatalf("key %d: %+v -> %+v, want two lock-free reads", i, before, after)
+					}
+					d := delta(before.charged, after.charged)
+					if d.meta > d.metaZero {
+						fromImage++
+					}
+					if twin == nil {
+						if d.meta > d.metaZero {
+							t.Fatalf("key %d: answered from the page image, want refused or resident", i)
+						}
+						continue
+					}
+					// The same two reads under the lock on the twin, whose
+					// state matches: a read answered from the image leaves
+					// the cache as it found it, in either tier.
+					tb := measure(twin)
+					tv, tok, err := locked(twin, k)
+					if err != nil || !bytes.Equal(tv, val) || !tok {
+						t.Fatalf("key %d: locked twin read = (%d bytes, %v, %v)", i, len(tv), tok, err)
+					}
+					if td := delta(tb.charged, measure(twin).charged); td != d {
+						t.Fatalf("key %d: lock-free reads charged %+v, the same reads under the lock %+v", i, d, td)
+					}
 					continue
 				}
 				refusals++
-				if after := charged(); after != before {
+				if after := measure(set); after != before {
 					t.Fatalf("key %d: refusals charged: %+v -> %+v", i, before, after)
 				}
 				v, err = set.RetrieveAppend(nil, k)
 				if err != nil || !bytes.Equal(v, val) {
 					t.Fatalf("key %d: RetrieveAppend = (%d bytes, %v)", i, len(v), err)
 				}
-				if got := charged().fallback - before.fallback; got != 1 {
+				if got := measure(set).fallback - before.fallback; got != 1 {
 					t.Fatalf("key %d: %d reads took the lock after the refusal, want 1", i, got)
 				}
 				// The locked read may have cached the table, so Exist is
@@ -306,13 +384,21 @@ func TestTryReadRefusesWhatLockedReadServes(t *testing.T) {
 				if ok, err := set.Exist(k); err != nil || !ok {
 					t.Fatalf("key %d: Exist = %v, %v", i, ok, err)
 				}
+				if twin != nil {
+					if _, _, err := locked(twin, k); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-			if tc.name == "resident" && refusals > 0 {
+			switch {
+			case tc.name == "resident" && refusals > 0:
 				t.Fatalf("%d resident reads refused", refusals)
-			}
-			if tc.name != "resident" && refusals == 0 {
+			case tc.image && fromImage == 0:
+				t.Fatal("no read was answered from its page image")
+			case !tc.image && tc.name != "resident" && refusals == 0:
 				t.Fatal("no read was refused: the case does not exercise the locked tier")
 			}
+			t.Logf("%d of %d keys refused, %d answered from the page image", refusals, len(tc.probe), fromImage)
 		})
 	}
 }
