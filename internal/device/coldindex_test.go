@@ -340,8 +340,10 @@ func coldIndexRacing(t *testing.T, growth bool) {
 			t.Fatalf("after the race: GET %q = (%d bytes, %v), committed version %d", k, len(v), err, want)
 		}
 	}
-	t.Logf("lock-free reads: %d served (%d GETs from a page image while no locked GET ran), %d refused, %d retried; %d GC runs, %d of them moving live index pages, %d doublings to D=%d",
-		served.Load(), imageReads, refused.Load(), retried.Load(), d.Stats().GCRuns, relocations, doublings, dirs)
+	quiesced := coldIndexQuiesced(t, d, all, readable, committed, readers)
+	imageReads += quiesced
+	t.Logf("lock-free reads: %d served (%d GETs from a page image while no locked GET ran, %d of them quiesced), %d refused, %d retried; %d GC runs, %d of them moving live index pages, %d doublings to D=%d",
+		served.Load(), imageReads, quiesced, refused.Load(), retried.Load(), d.Stats().GCRuns, relocations, doublings, dirs)
 	switch {
 	case d.MetaReadsPerGet().Max() > 1:
 		t.Fatalf("a GET read %d index pages, want <= 1", d.MetaReadsPerGet().Max())
@@ -354,4 +356,81 @@ func coldIndexRacing(t *testing.T, growth bool) {
 	case growth && doublings < 3:
 		t.Fatalf("the index doubled %d times, want >= 3", doublings)
 	}
+}
+
+// coldIndexQuiesced parks the writer where every lock-free GET of a
+// bucket left out of the cache must be answered from its page image,
+// and runs readers that GET exactly those buckets. A checkpoint puts
+// every pair and table on flash, so every cached table is clean. Locked
+// GETs of one key per bucket then sort the buckets into resident ones
+// (a hit, or an install while the cache had room) and cold ones (a miss
+// that read the page and installed nothing: the cache is full and its
+// victim clean). A last locked GET of a cold bucket publishes the
+// read-miss rule after every hit the sorting made, and the readers,
+// which touch only cold buckets, set no reference bit that could
+// overturn it. No reader may be refused, and each must read the
+// committed version. It returns how many GETs read one index page.
+func coldIndexQuiesced(t *testing.T, d *Device, all [][]byte, readable []int, committed []atomic.Uint64, readers int) uint64 {
+	t.Helper()
+	if err := d.Checkpoint(); err != nil {
+		t.Fatalf("quiesced: checkpoint: %v", err)
+	}
+	pageGets := func() uint64 { h := d.MetaReadsPerGet(); return h.Count() - h.CountAtMost(0) }
+	lockedGet := func(i int) {
+		if _, _, err := d.Retrieve(d.Now(), all[i]); err != nil && !errors.Is(err, ErrNotFound) {
+			t.Fatalf("quiesced: locked GET %q: %v", all[i], err)
+		}
+	}
+	mask := uint64(d.IndexStats().DirEntries - 1)
+	bucket := func(i int) uint64 { return d.scheme.Compute(all[i]).Lo & mask }
+	seen, cold := map[uint64]bool{}, map[uint64]bool{}
+	last := -1
+	for _, i := range readable {
+		if b := bucket(i); !seen[b] {
+			seen[b] = true
+			before, reads := d.IndexStats().Cache, pageGets()
+			lockedGet(i)
+			after := d.IndexStats().Cache
+			if after.Inserts == before.Inserts && after.Hits == before.Hits && pageGets() > reads {
+				cold[b], last = true, i
+			}
+		}
+	}
+	if last < 0 {
+		t.Fatalf("quiesced: none of %d buckets is cold", len(seen))
+	}
+	lockedGet(last)
+	var keys []int
+	for _, i := range readable {
+		if cold[bucket(i)] {
+			keys = append(keys, i)
+		}
+	}
+
+	mark := pageGets()
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			buf := make([]byte, 0, 256)
+			for j := g; j < len(keys); j += readers {
+				i := keys[j]
+				want := committed[i].Load()
+				got, _, err := d.TryRetrieveOptimistic(d.Now(), all[i], buf[:0])
+				switch {
+				case want%4 == 0 && errors.Is(err, ErrNotFound):
+				case want%4 != 0 && err == nil && binary.LittleEndian.Uint64(got[8:]) == want:
+				default:
+					t.Errorf("quiesced: lock-free GET %q = (%d bytes, %v), committed version %d", all[i], len(got), err, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	return pageGets() - mark
 }

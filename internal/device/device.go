@@ -162,13 +162,6 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// pendingPair is a pair buffered in an open (not yet programmed) page,
-// kept addressable for read-your-writes.
-type pendingPair struct {
-	key   []byte
-	value []byte
-}
-
 // stripeSlot is one member block of a log writer's stripe.
 type stripeSlot struct {
 	open  bool
@@ -185,10 +178,9 @@ type stripeSlot struct {
 type logWriter struct {
 	name    string
 	slots   []stripeSlot
-	cur     int // slot bound to the open page
-	builder *layout.PageBuilder
-	pageRPs []layout.RP // record pointers of pairs in the open page
-	liveLen []int       // accounting size per pair (negative = dead bytes)
+	cur     int                 // slot bound to the open page
+	builder *layout.PageBuilder // the open page: pairs buffered until programmed
+	liveLen []int               // accounting size per slot (negative = dead bytes)
 }
 
 // Stats aggregates device-level counters.
@@ -301,8 +293,6 @@ type Device struct {
 	idxNextPage  int
 	idxPageSize  map[nand.PPA]int32 // live index pages -> byte size
 
-	pending map[layout.RP]pendingPair // buffered pairs across both writers
-
 	inflight []sim.Time // write-buffer ring of outstanding program completions
 
 	seq       uint64 // global pair sequence number
@@ -395,7 +385,6 @@ func Open(cfg Config) (*Device, error) {
 		mgr:         ftl.NewManager(flash),
 		scheme:      cfg.SigScheme,
 		idxPageSize: make(map[nand.PPA]int32),
-		pending:     make(map[layout.RP]pendingPair),
 		ckptPinned:  make(map[nand.PPA]bool),
 		reclaim:     epoch.NewDomain(),
 		snaps:       make(map[*Snapshot]struct{}),

@@ -273,17 +273,16 @@ func (d *Device) collectKV(victim nand.BlockID) error {
 			if !ok || cur != uint64(rp) {
 				continue // stale version
 			}
-			// Copy key and value out of the flash-owned buffers before they
-			// are erased; an extent's reassembly already is a private copy.
-			var value []byte
+			// Key and value go to the writer straight from the victim's
+			// page: the builder copies them, and the victim is erased only
+			// after this loop. An extent's reassembly is a private copy.
+			value := inline
 			if hdr.ValueLen > len(inline) {
 				var done sim.Time
 				if value, done, err = d.readExtent(d.env.now.Load(), ppa, inline, hdr.ValueLen); err != nil {
 					return fmt.Errorf("device: gc extent read: %w", err)
 				}
 				d.env.now.AdvanceTo(done)
-			} else {
-				value = append([]byte(nil), inline...)
 			}
 
 			d.seq++
@@ -295,7 +294,7 @@ func (d *Device) collectKV(victim nand.BlockID) error {
 			// delta encoding.
 			p := layout.Pair{
 				Sig:   sig.Lo,
-				Key:   append([]byte(nil), key...),
+				Key:   key,
 				Value: value,
 				Seq:   d.seq,
 				Epoch: d.wepoch.Load() + 1,

@@ -57,7 +57,7 @@ func (d *Device) Iterate(submitAt sim.Time, prefix []byte, withValues bool) ([]I
 	if err != nil {
 		return nil, d.env.now.Load(), err
 	}
-	out, done, err := d.sweep(d.env.now.Load(), rps, d.pending, prefix, withValues)
+	out, done, err := d.sweep(d.env.now.Load(), rps, true, prefix, withValues)
 	d.env.now.AdvanceTo(done)
 	if err != nil {
 		return nil, d.env.now.Load(), err
@@ -72,11 +72,12 @@ func (d *Device) Iterate(submitAt sim.Time, prefix []byte, withValues bool) ([]I
 // at on — once however many of the records share it; every further
 // record on the current page counts in PrefetchHits. A multi-page value's
 // continuations are read behind its head page, which it shares with no
-// other pair. pending is the open-page buffer map for a live scan and nil
-// for a snapshot's, whose records are all on programmed flash. Entries
+// other pair. A live scan is locked, and reads a pair still in an open
+// page from its builder; a snapshot's is not, so it must never look at
+// the builders, and its records are all on programmed flash. Entries
 // alias the page buffers until the sweep ends; keys and values are then
 // copied once into one exactly-sized slab, so the result is the caller's.
-func (d *Device) sweep(at sim.Time, rps []uint64, pending map[layout.RP]pendingPair, prefix []byte, withValues bool) ([]IterEntry, sim.Time, error) {
+func (d *Device) sweep(at sim.Time, rps []uint64, locked bool, prefix []byte, withValues bool) ([]IterEntry, sim.Time, error) {
 	if len(rps) == 0 {
 		return nil, at, nil
 	}
@@ -90,42 +91,42 @@ func (d *Device) sweep(at sim.Time, rps []uint64, pending map[layout.RP]pendingP
 	)
 	for _, rp0 := range rps {
 		rp := layout.RP(rp0)
+		ppa := nand.PPA(rp.Page())
+		var w *logWriter
+		if locked {
+			w = d.openWriter(rp)
+		}
+		var hdr layout.PairHeader
 		var key, value []byte
-		if p, ok := pending[rp]; ok {
-			key, value = p.key, p.value
-			if !bytes.HasPrefix(key, prefix) {
-				continue
-			}
+		var err error
+		if w != nil {
+			hdr, key, value, err = w.builder.PairAt(rp.Slot())
 		} else {
-			ppa := nand.PPA(rp.Page())
 			if ppa == cur {
 				hits++
 			} else {
-				var err error
 				if page, _, at, err = d.flash.Read(at, ppa); err != nil {
 					return nil, at, err
 				}
 				cur = ppa
 			}
-			info, _, err := layout.SigInfoAt(page, rp.Slot())
-			if err != nil {
-				return nil, at, err
+			var info layout.SigInfo
+			if info, _, err = layout.SigInfoAt(page, rp.Slot()); err == nil {
+				hdr, key, value, err = layout.DecodePairAt(page, int(info.Offset))
 			}
-			var hdr layout.PairHeader
-			if hdr, key, value, err = layout.DecodePairAt(page, int(info.Offset)); err != nil {
-				return nil, at, err
-			}
-			if hdr.Tombstone() || !bytes.HasPrefix(key, prefix) {
-				continue
-			}
-			if withValues && hdr.ValueLen > len(value) {
-				if value, at, err = d.readExtent(at, ppa, value, hdr.ValueLen); err != nil {
-					return nil, at, err
-				}
-			}
+		}
+		if err != nil {
+			return nil, at, err
+		}
+		if hdr.Tombstone() || !bytes.HasPrefix(key, prefix) {
+			continue
 		}
 		if !withValues {
 			value = nil
+		} else if hdr.ValueLen > len(value) {
+			if value, at, err = d.readExtent(at, ppa, value, hdr.ValueLen); err != nil {
+				return nil, at, err
+			}
 		}
 		out = append(out, IterEntry{Key: key, Value: value})
 		size += len(key) + len(value)

@@ -68,6 +68,24 @@ func (o scanOracle) compare(t *testing.T, got []IterEntry, prefix string) {
 	}
 }
 
+// bufferedLive reports whether an open page of d holds the newest
+// version of a live oracle key with prefix: a pair not yet on flash.
+func bufferedLive(t *testing.T, d *Device, o scanOracle, prefix string) bool {
+	t.Helper()
+	for _, w := range []*logWriter{&d.fg, &d.gcw} {
+		for slot := 0; slot < w.builder.Count(); slot++ {
+			hdr, k, v, err := w.builder.PairAt(slot)
+			if err != nil {
+				t.Fatalf("%s open page slot %d: %v", w.name, slot, err)
+			}
+			if want, live := o[string(k)]; live && !hdr.Tombstone() && strings.HasPrefix(string(k), prefix) && bytes.Equal(v, want) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // collidingPrefixes finds two different scanPrefixLen-byte prefixes whose
 // low-32 prefix hashes are equal, by birthday search: 32 hash bits make a
 // pair likely within ~10^5 candidates. The hash is seeded by the scheme
@@ -134,12 +152,8 @@ func TestIterateDifferential(t *testing.T) {
 
 			scan := func(prefix string) {
 				t.Helper()
-				for _, p := range d.pending {
-					// Newest version of a live key of this group, not yet on flash.
-					if v, live := oracle[string(p.key)]; live && bytes.HasPrefix(p.key, []byte(prefix)) && bytes.Equal(v, p.value) {
-						pending++
-						break
-					}
+				if bufferedLive(t, d, oracle, prefix) {
+					pending++
 				}
 				if rh != nil && migrating(rh) {
 					midMigration++

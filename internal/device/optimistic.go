@@ -111,9 +111,10 @@ func (d *Device) tryRetrieveOptimistic(r *core.RHIK, m1 uint64, submitAt sim.Tim
 		return dst, 0, index.ErrNeedExclusive
 	}
 	if probe.Found && !d.flash.PageReadable(nand.PPA(layout.RP(probe.RP).Page())) {
-		// Still buffered in an open page (read-your-writes lives in the
-		// pending map) or yanked by an overlapping restructure: only the
-		// exclusive path may resolve it.
+		// Still buffered in an open page (read-your-writes reads the
+		// writer's builder, which only the exclusive lock guards) or
+		// yanked by an overlapping restructure: only the exclusive path
+		// may resolve it.
 		return dst, 0, index.ErrNeedExclusive
 	}
 
@@ -265,7 +266,7 @@ func (d *Device) optValid(r *core.RHIK, probe core.OptProbe, m1 uint64) bool {
 // probe or the structure moved underneath the read, it raced: retry.
 // If not, the likely cause is a continuation page of a multi-page pair
 // still in the open write buffer (only the head page was pre-checked
-// readable), or an injected fault: the exclusive path resolves pending
+// readable), or an injected fault: the exclusive path reads open-page
 // pairs and re-reports genuine faults.
 func (d *Device) optFlashErr(r *core.RHIK, probe core.OptProbe, m1 uint64) error {
 	if !d.optValid(r, probe, m1) {

@@ -9,13 +9,14 @@ import (
 	"repro/internal/sim"
 )
 
-// readPair fetches the pair addressed by rp: from an open page buffer if
-// still pending, else from flash (readFlashPair). Writer-side: the
-// pending map is a plain map that only the exclusive lock guards.
+// readPair fetches the pair addressed by rp: from the open page that
+// still buffers it, else from flash (readFlashPair). Writer-side: only
+// the exclusive lock guards the open pages. Key and value alias the
+// page they were read from.
 func (d *Device) readPair(rp layout.RP, withValue, blocking bool) (hdr layout.PairHeader, key, value []byte, done sim.Time, err error) {
-	if p, ok := d.pending[rp]; ok {
-		hdr = layout.PairHeader{KeyLen: len(p.key), ValueLen: len(p.value)}
-		return hdr, p.key, p.value, d.env.now.Load(), nil
+	if w := d.openWriter(rp); w != nil {
+		hdr, key, value, err = w.builder.PairAt(rp.Slot())
+		return hdr, key, value, d.env.now.Load(), err
 	}
 	return d.readFlashPair(rp, withValue, blocking)
 }
@@ -29,7 +30,7 @@ func (d *Device) readPair(rp layout.RP, withValue, blocking bool) (hdr layout.Pa
 // nothing, and the timeline only moves through CAS-max advances. (The
 // extent reassembly path allocates, but only multi-page values take it.)
 // The lock-free tier calls it directly, never readPair: it pre-checks
-// PageReadable, so a record still in an open-page buffer never gets here.
+// PageReadable, so it never reads a pair whose page is still open.
 func (d *Device) readFlashPair(rp layout.RP, withValue, blocking bool) (hdr layout.PairHeader, key, value []byte, done sim.Time, err error) {
 	ppa := nand.PPA(rp.Page())
 	data, _, readDone, err := d.flash.Read(d.env.now.Load(), ppa)

@@ -31,13 +31,13 @@ func (d *Device) Restart() error {
 	// A power cycle invalidates every open snapshot: their frozen views
 	// reference pre-crash block contents the rebuild may reclaim.
 	d.invalidateSnapshots()
-	// Drop all volatile state. The hot-value tier goes too: replay can
-	// roll back the unflushed write tail, and a value cached from a
-	// lost pending buffer must not outlive the data.
+	// Drop all volatile state: the open pages with the pairs they buffer,
+	// the index cache and directory, FTL accounting. The hot-value tier
+	// goes too: replay can roll back the unflushed write tail, and a
+	// value cached from a lost open page must not outlive the data.
 	if d.vcache != nil {
 		d.vcache.Flush()
 	}
-	d.pending = make(map[layout.RP]pendingPair)
 	d.fg = d.newLogWriter("fg")
 	d.gcw = d.newLogWriter("gc")
 	d.idxBlockOpen = false

@@ -354,7 +354,7 @@ func (s *Snapshot) Scan(submitAt sim.Time, prefix []byte, withValues bool) ([]It
 			rps[i] = rec.RP
 		}
 	}
-	out, done, err := d.sweep(d.env.now.Load(), rps, nil, prefix, withValues)
+	out, done, err := d.sweep(d.env.now.Load(), rps, false, prefix, withValues)
 	// Checked after the sweep's copy-out: if it still reads false, the
 	// pins were held throughout and every byte read was stable (see
 	// frozenGet).

@@ -81,9 +81,23 @@ func (w *logWriter) openPagePPA(d *Device) nand.PPA {
 	return d.flash.PPAOf(s.block, s.next)
 }
 
+// openWriter returns the writer whose open page holds the pair rp
+// names, or nil when that pair is on flash. Writer-side: only the
+// exclusive lock guards the builders.
+func (d *Device) openWriter(rp layout.RP) *logWriter {
+	for _, w := range [...]*logWriter{&d.fg, &d.gcw} {
+		if !w.builder.Empty() && rp.Page() == uint64(w.openPagePPA(d)) && rp.Slot() < w.builder.Count() {
+			return w
+		}
+	}
+	return nil
+}
+
 // appendPair packs a single-page pair into writer w's open page and
-// returns its record pointer. live is the accounting size: positive for
-// live data, negative magnitude for dead-on-arrival bytes (tombstones).
+// returns its record pointer. The builder copies key and value, so they
+// may alias a buffer the caller reuses. live is the accounting size:
+// positive for live data, negative magnitude for dead-on-arrival bytes
+// (tombstones).
 func (d *Device) appendPair(w *logWriter, p layout.Pair, live int) (layout.RP, error) {
 	if !w.builder.Empty() && !w.builder.Fits(len(p.Key), len(p.Value)) {
 		if err := d.flushOpen(w); err != nil {
@@ -100,18 +114,12 @@ func (d *Device) appendPair(w *logWriter, p layout.Pair, live int) (layout.RP, e
 		return 0, fmt.Errorf("device: pair does not fit an empty page (key %d, value %d)",
 			len(p.Key), len(p.Value))
 	}
-	rp := layout.MakeRP(uint64(w.openPagePPA(d)), slot)
-	w.pageRPs = append(w.pageRPs, rp)
 	w.liveLen = append(w.liveLen, live)
-	d.pending[rp] = pendingPair{
-		key:   append([]byte(nil), p.Key...),
-		value: append([]byte(nil), p.Value...),
-	}
-	return rp, nil
+	return layout.MakeRP(uint64(w.openPagePPA(d)), slot), nil
 }
 
-// flushOpen programs writer w's open page, settling per-pair accounting
-// and releasing the pending buffers.
+// flushOpen programs writer w's open page and settles its per-pair
+// accounting.
 func (d *Device) flushOpen(w *logWriter) error {
 	if w.builder.Empty() {
 		return nil
@@ -125,16 +133,14 @@ func (d *Device) flushOpen(w *logWriter) error {
 	if _, err := d.programData(ppa, data, spare); err != nil {
 		return err
 	}
-	for i, rp := range w.pageRPs {
-		if n := w.liveLen[i]; n > 0 {
+	for _, n := range w.liveLen {
+		if n > 0 {
 			d.mgr.OnWrite(s.block, int64(n))
 		} else {
 			d.mgr.OnWriteDead(s.block, int64(-n))
 		}
-		delete(d.pending, rp)
 	}
 	w.builder.Reset()
-	w.pageRPs = w.pageRPs[:0]
 	w.liveLen = w.liveLen[:0]
 	s.next++
 	if s.next >= d.flash.Config().PagesPerBlock {
@@ -188,15 +194,11 @@ func (d *Device) appendExtent(w *logWriter, p layout.Pair, live int) (layout.RP,
 // invalidateRP marks a stored pair's bytes stale, whether it has reached
 // flash or still sits in an open page buffer.
 func (d *Device) invalidateRP(rp layout.RP, size int) {
-	for _, w := range []*logWriter{&d.fg, &d.gcw} {
-		for i, prp := range w.pageRPs {
-			if prp == rp {
-				if w.liveLen[i] > 0 {
-					w.liveLen[i] = -w.liveLen[i]
-				}
-				return
-			}
+	if w := d.openWriter(rp); w != nil {
+		if n := &w.liveLen[rp.Slot()]; *n > 0 {
+			*n = -*n
 		}
+		return
 	}
 	d.mgr.OnInvalidate(d.flash.BlockOf(nand.PPA(rp.Page())), int64(size))
 }

@@ -191,6 +191,16 @@ func (b *PageBuilder) Base() uint64 {
 	return b.base
 }
 
+// PairAt decodes the pair in slot of the page being built, as
+// DecodePairAt decodes it once programmed. Key and value alias the
+// builder's buffer: they are valid until the next Reset.
+func (b *PageBuilder) PairAt(slot int) (hdr PairHeader, key, value []byte, err error) {
+	if slot < 0 || slot >= len(b.offs) {
+		return hdr, nil, nil, fmt.Errorf("%w: slot %d beyond page (%d pairs)", ErrCorrupt, slot, len(b.offs))
+	}
+	return decodeBody(b.buf, int(b.offs[slot]))
+}
+
 // Count reports the number of pairs added so far.
 func (b *PageBuilder) Count() int { return len(b.sigs) }
 
@@ -338,30 +348,32 @@ func SigInfoAt(page []byte, slot int) (SigInfo, int, error) {
 // heads, whose remainder lives in continuation pages). The page must end
 // with a signature information area, which bounds the data area.
 func DecodePairAt(page []byte, off int) (hdr PairHeader, key, value []byte, err error) {
-	if off < 0 || off+HeaderSize > len(page) {
-		return hdr, nil, nil, fmt.Errorf("%w: pair offset %d", ErrCorrupt, off)
-	}
 	n, _, err := countAt(page)
 	if err != nil {
 		return hdr, nil, nil, err
 	}
-	dataEnd := len(page) - n*SigEntrySize - CountSize
-	hdr.Flags = page[off]
-	hdr.KeyLen = int(binary.LittleEndian.Uint16(page[off+1 : off+3]))
-	hdr.ValueLen = int(binary.LittleEndian.Uint32(page[off+3 : off+7]))
-	hdr.Seq = binary.LittleEndian.Uint64(page[off+7 : off+15])
+	return decodeBody(page[:len(page)-n*SigEntrySize-CountSize], off)
+}
+
+// decodeBody parses the pair body at offset off of a data area: pair
+// bodies only, no signature information area behind them.
+func decodeBody(data []byte, off int) (hdr PairHeader, key, value []byte, err error) {
+	if off < 0 || off+HeaderSize > len(data) {
+		return hdr, nil, nil, fmt.Errorf("%w: pair offset %d", ErrCorrupt, off)
+	}
+	hdr.Flags = data[off]
+	hdr.KeyLen = int(binary.LittleEndian.Uint16(data[off+1 : off+3]))
+	hdr.ValueLen = int(binary.LittleEndian.Uint32(data[off+3 : off+7]))
+	hdr.Seq = binary.LittleEndian.Uint64(data[off+7 : off+15])
 
 	keyStart := off + HeaderSize
-	if keyStart+hdr.KeyLen > dataEnd {
+	if keyStart+hdr.KeyLen > len(data) {
 		return hdr, nil, nil, fmt.Errorf("%w: key overruns page", ErrCorrupt)
 	}
-	key = page[keyStart : keyStart+hdr.KeyLen]
+	key = data[keyStart : keyStart+hdr.KeyLen]
 	valStart := keyStart + hdr.KeyLen
-	valEnd := valStart + hdr.ValueLen
-	if valEnd > dataEnd {
-		valEnd = dataEnd // extent head: remainder lives in continuations
-	}
-	value = page[valStart:valEnd]
+	// An extent head's remainder lives in continuations.
+	value = data[valStart:min(valStart+hdr.ValueLen, len(data))]
 	return hdr, key, value, nil
 }
 
