@@ -626,7 +626,7 @@ func (r *RHIK) Get(sig index.Sig) (uint64, bool, error) {
 			return 0, false, err
 		}
 		if !r.publishReadMiss(g) {
-			rp, found, err := hopscotch.ProbeImage(data, r.r, r.cfg.SigScheme.Wide(), sig.Lo, sig.Hi)
+			rp, found, err := r.imageAnswer(data, sig)
 			if err != nil {
 				return 0, false, err
 			}
@@ -638,6 +638,15 @@ func (r *RHIK) Get(sig index.Sig) (uint64, bool, error) {
 	}
 	rp, found := e.table.GetWide(sig.Lo, sig.Hi)
 	return rp, found, r.checkIO()
+}
+
+// imageAnswer is the answer of a read that leaves the cache alone: sig
+// probed in image, its bucket's index page, with no decode. Get gives it
+// when the read-miss rule says not to install the table, and
+// PeekOptimistic when the rule the writer published still stands, so
+// both tiers answer a miss alike.
+func (r *RHIK) imageAnswer(image []byte, sig index.Sig) (uint64, bool, error) {
+	return hopscotch.ProbeImage(image, r.r, r.cfg.SigScheme.Wide(), sig.Lo, sig.Hi)
 }
 
 // Delete implements index.Index.
@@ -748,7 +757,7 @@ func (r *RHIK) peekPage(g *generation, b uint64, sig index.Sig) (OptProbe, index
 			return OptProbe{}, index.OptRetry
 		}
 		var err error
-		if p.RP, p.Found, err = hopscotch.ProbeImage(image, r.r, r.cfg.SigScheme.Wide(), sig.Lo, sig.Hi); err != nil {
+		if p.RP, p.Found, err = r.imageAnswer(image, sig); err != nil {
 			return OptProbe{}, index.OptRetry
 		}
 	}

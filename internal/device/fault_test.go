@@ -77,3 +77,41 @@ func TestIndexReadFaultSurfacesButDeviceRecovers(t *testing.T) {
 		}
 	}
 }
+
+// TestReadFaultIsNotCounted pins the counting rule of the read bodies: a
+// GET or EXIST is counted once it answers, and never when a flash fault
+// fails it. An EXIST answers found or not found; a GET is counted in
+// Retrieves when it returns a value.
+func TestReadFaultIsNotCounted(t *testing.T) {
+	d := openSmall(t, nil)
+	mustStore(t, d, key(1), val(1, 64))
+	if err := d.FlushData(); err != nil {
+		t.Fatal(err)
+	}
+	st := d.Stats()
+	d.Flash().FailNextReads(1)
+	if _, _, err := d.Exist(d.Now(), key(1)); !errors.Is(err, nand.ErrReadFault) {
+		t.Fatalf("Exist err = %v, want ErrReadFault", err)
+	}
+	d.Flash().FailNextReads(1)
+	if _, _, err := d.Retrieve(d.Now(), key(1)); !errors.Is(err, nand.ErrReadFault) {
+		t.Fatalf("Retrieve err = %v, want ErrReadFault", err)
+	}
+	if got := d.Stats(); got.Exists != st.Exists || got.Retrieves != st.Retrieves {
+		t.Fatalf("faulted reads counted: exists %d -> %d, retrieves %d -> %d",
+			st.Exists, got.Exists, st.Retrieves, got.Retrieves)
+	}
+	if ok, _, err := d.Exist(d.Now(), key(1)); err != nil || !ok {
+		t.Fatalf("Exist(stored) = %v, %v", ok, err)
+	}
+	if ok, _, err := d.Exist(d.Now(), key(2)); err != nil || ok {
+		t.Fatalf("Exist(absent) = %v, %v", ok, err)
+	}
+	if got := mustGet(t, d, key(1)); !bytes.Equal(got, val(1, 64)) {
+		t.Fatal("value corrupted after transient read faults")
+	}
+	if got := d.Stats(); got.Exists != st.Exists+2 || got.Retrieves != st.Retrieves+1 {
+		t.Fatalf("answers counted: exists %d -> %d (want +2), retrieves %d -> %d (want +1)",
+			st.Exists, got.Exists, st.Retrieves, got.Retrieves)
+	}
+}

@@ -45,8 +45,7 @@ func (d *Device) Iterate(submitAt sim.Time, prefix []byte, withValues bool) ([]I
 	if len(prefix) < d.scheme.PrefixLen {
 		return nil, d.env.now.Load(), ErrPrefixTooShort
 	}
-	d.env.now.AdvanceTo(submitAt)
-	d.env.ChargeCPU(d.cfg.CmdCPU)
+	d.arrive(submitAt, 0)
 	// RHIK reads one bucket, but the baselines sweep their whole index.
 	pages, _ := d.flushPages()
 	if err := d.reserveRead(pages); err != nil {

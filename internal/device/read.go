@@ -2,45 +2,76 @@ package device
 
 import (
 	"bytes"
+	"errors"
 
+	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/layout"
 	"repro/internal/nand"
 	"repro/internal/sim"
 )
 
-// readPair fetches the pair addressed by rp: from the open page that
-// still buffers it, else from flash (readFlashPair). Writer-side: only
-// the exclusive lock guards the open pages. Key and value alias the
-// page they were read from.
-func (d *Device) readPair(rp layout.RP, withValue, blocking bool) (hdr layout.PairHeader, key, value []byte, done sim.Time, err error) {
-	if w := d.openWriter(rp); w != nil {
-		hdr, key, value, err = w.builder.PairAt(rp.Slot())
-		return hdr, key, value, d.env.now.Load(), err
-	}
-	return d.readFlashPair(rp, withValue, blocking)
+// This file is the read path: one GET body (get) and one EXIST body
+// (exist), each run by both read tiers. A locked read runs under the
+// caller's exclusive lock (RetrieveAppend, Exist); a lock-free read runs
+// with none (TryRetrieveOptimistic, TryExistOptimistic; see
+// optimistic.go). The mode decides where the index answer comes from,
+// whether a pair still in an open page can be read, and what the answer
+// must pass first. Every charge, sample and counter is made by the same
+// lines in both modes, so a single-threaded run has the same timeline
+// whichever tier serves it.
+
+// read is one GET or EXIST command in flight.
+type read struct {
+	r     *core.RHIK    // the index a lock-free read probes; nil: locked
+	m1    uint64        // lock-free: mutSeq when the read began
+	probe core.OptProbe // lock-free: the probe the read answers from
+	meta  int64         // index pages the lookup read: the metadata-read sample
 }
 
-// readFlashPair reads the pair addressed by rp from flash: its head page
-// plus continuations for extents. When blocking is true the firmware
-// waits for the data (key verification gates the command); otherwise
-// only the completion time reflects the read and the firmware moves on
-// (data-out phase of a retrieve). Safe for concurrent readers: flash
-// page reads are pure, the single-slot signature decode allocates
-// nothing, and the timeline only moves through CAS-max advances. (The
-// extent reassembly path allocates, but only multi-page values take it.)
-// The lock-free tier calls it directly, never readPair: it pre-checks
-// PageReadable, so it never reads a pair whose page is still open.
-func (d *Device) readFlashPair(rp layout.RP, withValue, blocking bool) (hdr layout.PairHeader, key, value []byte, done sim.Time, err error) {
-	ppa := nand.PPA(rp.Page())
-	data, _, readDone, err := d.flash.Read(d.env.now.Load(), ppa)
-	if err != nil {
-		return hdr, nil, nil, d.env.now.Load(), err
+// readPair fetches the pair addressed by rp. A locked read takes a pair
+// still in an open page from that page's builder, which only the
+// exclusive lock guards; a lock-free read never meets one, because its
+// probe refuses a pair whose page is not readable. withValue is a GET's
+// read: the whole value, and only the completion time reflects the read
+// while the firmware moves on (the data-out phase). Without it the
+// firmware waits for the key, which gates the command. Key and value
+// alias the page they were read from.
+func (d *Device) readPair(rp layout.RP, withValue, locked bool) (hdr layout.PairHeader, key, value []byte, done sim.Time, err error) {
+	if locked {
+		if w := d.openWriter(rp); w != nil {
+			hdr, key, value, err = w.builder.PairAt(rp.Slot())
+			return hdr, key, value, d.env.now.Load(), err
+		}
 	}
-	done = readDone
+	hdr, key, value, done, err = d.readFlashPair(d.env.now.Load(), rp, withValue, nil)
+	if err == nil && !withValue {
+		d.env.now.AdvanceTo(done)
+	}
+	return hdr, key, value, done, err
+}
+
+// readFlashPair reads the pair addressed by rp from flash, issued at
+// at: its head page plus continuations for extents. A non-nil epoch
+// receives the record's write epoch (the page spare's base plus the sig
+// entry's delta); only snapshot reads ask, so other reads never touch
+// the spare. It moves no clock. Safe for concurrent readers: flash page reads are
+// pure and the single-slot signature decode allocates nothing. (The
+// extent reassembly path allocates, but only multi-page values take
+// it.) Both tiers' reads and both snapshot read paths come here; each
+// caller knows the page is programmed.
+func (d *Device) readFlashPair(at sim.Time, rp layout.RP, withValue bool, epoch *uint64) (hdr layout.PairHeader, key, value []byte, done sim.Time, err error) {
+	ppa := nand.PPA(rp.Page())
+	data, spare, done, err := d.flash.Read(at, ppa)
+	if err != nil {
+		return hdr, nil, nil, at, err
+	}
 	info, _, err := layout.SigInfoAt(data, rp.Slot())
 	if err != nil {
 		return hdr, nil, nil, done, err
+	}
+	if epoch != nil {
+		*epoch = layout.DataSpareEpoch(spare) + uint64(info.EpochDelta)
 	}
 	hdr, key, value, err = layout.DecodePairAt(data, int(info.Offset))
 	if err != nil {
@@ -50,9 +81,6 @@ func (d *Device) readFlashPair(rp layout.RP, withValue, blocking bool) (hdr layo
 		if value, done, err = d.readExtent(done, ppa, value, hdr.ValueLen); err != nil {
 			return hdr, nil, nil, done, err
 		}
-	}
-	if blocking {
-		d.env.now.AdvanceTo(done)
 	}
 	return hdr, key, value, done, nil
 }
@@ -75,140 +103,193 @@ func (d *Device) readExtent(at sim.Time, ppa nand.PPA, head []byte, valueLen int
 	return full, at, nil
 }
 
-// retrieveValueHit completes a get served from the hot-value tier: no
-// index probe, no flash. The charge sequence is identical in the
-// exclusive and optimistic tiers (command arrival, command CPU, a zero
-// metadata-read sample, value DMA, ack), so whichever tier hits produces
-// the same timeline. Allocation-free when dst has capacity.
-func (d *Device) retrieveValueHit(submitAt sim.Time, key, value, dst []byte) ([]byte, sim.Time) {
-	arrive := d.hostXfer(submitAt, len(key))
-	d.env.now.AdvanceTo(arrive)
-	d.env.ChargeCPU(d.cfg.CmdCPU)
-	d.metaPerOp.Record(0)
-	d.metaPerGet.Record(0)
-	done := d.hostXfer(d.env.now.Load(), len(value)).Add(d.cfg.AckOverhead)
-	d.stats.retrieves.Add(1)
-	d.stats.bytesRead.Add(int64(len(value)))
-	d.latGet.Record(int64(done.Sub(submitAt)))
-	return append(dst, value...), done
+// beginLocked readies a read under the exclusive lock: it reserves room
+// for the index write-backs its lookup may cause and reclaims what no
+// lock-free reader can still hold.
+func (d *Device) beginLocked() error {
+	if d.closed.Load() {
+		return ErrClosed
+	}
+	if err := d.reserveRead(1 + d.splitPages(1)); err != nil {
+		return err
+	}
+	d.collectRetired()
+	return nil
 }
 
-// retrieve is the get command body shared by Retrieve and
-// RetrieveAppend. The value is appended to dst (which may be nil).
-func (d *Device) retrieve(submitAt sim.Time, key, dst []byte, sig index.Sig) ([]byte, sim.Time, error) {
-	var vgen uint64
-	if d.vcache != nil {
-		if v, ok := d.vcache.Lookup(sig.Lo, key); ok {
-			out, done := d.retrieveValueHit(submitAt, key, v, dst)
-			return out, done, nil
-		}
-		// Snapshot the bucket generation before the index probe so the
-		// insert below is refused if any overwrite lands in between.
-		vgen = d.vcache.Gen(sig.Lo)
-	}
-	arrive := d.hostXfer(submitAt, len(key))
-	d.env.now.AdvanceTo(arrive)
-	start := submitAt
-	d.env.ChargeCPU(d.cfg.CmdCPU)
-	d.env.reads = 0
-
-	rp, ok, err := d.idx.Get(sig)
-	d.metaPerOp.Record(d.env.reads)
-	d.metaPerGet.Record(d.env.reads)
-	if err != nil {
+// RetrieveAppend executes a get command under the caller's exclusive
+// lock, appending the value to dst (which may be nil) and returning the
+// command's completion time. The stored key is compared to the request
+// key before returning, so signature collisions can never return the
+// wrong value (§IV-A3). A reused dst makes it the allocation-free path.
+func (d *Device) RetrieveAppend(submitAt sim.Time, key, dst []byte) ([]byte, sim.Time, error) {
+	if err := d.beginLocked(); err != nil {
 		return dst, d.env.now.Load(), err
 	}
-	if !ok {
-		return dst, d.env.now.Load(), ErrNotFound
+	return d.get(&read{}, submitAt, key, dst)
+}
+
+// Retrieve is RetrieveAppend into a fresh buffer: the value is a copy.
+func (d *Device) Retrieve(submitAt sim.Time, key []byte) ([]byte, sim.Time, error) {
+	return d.RetrieveAppend(submitAt, key, nil)
+}
+
+// Exist executes a key-exist command under the caller's exclusive lock.
+// The index answers from key signatures; on a hit the stored key is
+// fetched and compared, so the result is exact (the extra flash read the
+// paper describes for explicit membership checks as signature collisions
+// become likely).
+func (d *Device) Exist(submitAt sim.Time, key []byte) (bool, sim.Time, error) {
+	if err := d.beginLocked(); err != nil {
+		return false, d.env.now.Load(), err
 	}
-	hdr, storedKey, value, done, err := d.readPair(layout.RP(rp), true, false)
-	if err != nil {
+	return d.exist(&read{}, submitAt, key)
+}
+
+// get is the GET body. A hit in the hot-value tier skips the index and
+// flash: the entry was live after its value was captured, and any
+// overwrite invalidates it before acknowledging, so even a lock-free hit
+// linearizes before every in-flight write's completion. The value is
+// appended to dst.
+func (d *Device) get(rd *read, submitAt sim.Time, key, dst []byte) ([]byte, sim.Time, error) {
+	sig := d.scheme.Compute(key)
+	var value []byte
+	var vgen uint64
+	hit := false
+	if d.vcache != nil {
+		// Snapshot the bucket generation before the index probe so the
+		// insert below is refused if any overwrite lands in between.
+		if value, hit = d.vcache.Lookup(sig.Lo, key); !hit {
+			vgen = d.vcache.Gen(sig.Lo)
+		}
+	}
+	var done sim.Time
+	var err error
+	if hit {
+		d.arrive(submitAt, len(key))
+		d.metaPerOp.Record(0) // no index page read
+		d.metaPerGet.Record(0)
+		done = d.env.now.Load()
+	} else if value, done, err = d.find(rd, submitAt, key, sig, true); err != nil {
 		return dst, done, err
-	}
-	if hdr.Tombstone() || !bytes.Equal(storedKey, key) {
-		return dst, done, ErrNotFound
-	}
-	if now := d.env.now.Load(); done < now {
-		done = now
 	}
 	// Value DMA back to the host, then the completion round trip.
 	done = d.hostXfer(done, len(value)).Add(d.cfg.AckOverhead)
 	d.stats.retrieves.Add(1)
 	d.stats.bytesRead.Add(int64(len(value)))
-	d.latGet.Record(int64(done.Sub(start)))
-	if d.vcache != nil {
+	d.latGet.Record(int64(done.Sub(submitAt)))
+	if d.vcache != nil && !hit {
 		d.vcache.Insert(vgen, sig.Lo, key, value)
 	}
 	return append(dst, value...), done, nil
 }
 
-// Retrieve executes a get command, returning the value (a copy) and the
-// command's completion time. The stored key is compared to the request
-// key before returning, so signature collisions can never return the
-// wrong value (§IV-A3).
-func (d *Device) Retrieve(submitAt sim.Time, key []byte) ([]byte, sim.Time, error) {
-	if d.closed.Load() {
-		return nil, d.env.now.Load(), ErrClosed
-	}
-	if err := d.reserveRead(1 + d.splitPages(1)); err != nil {
-		return nil, d.env.now.Load(), err
-	}
-	d.collectRetired()
-	v, done, err := d.retrieve(submitAt, key, nil, d.scheme.Compute(key))
-	if err != nil {
-		return nil, done, err
-	}
-	return v, done, nil
-}
-
-// RetrieveAppend is Retrieve with the value appended to dst, letting the
-// caller reuse one buffer across gets (the allocation-free hot path).
-// Requires the caller's exclusive lock, like Retrieve.
-func (d *Device) RetrieveAppend(submitAt sim.Time, key, dst []byte) ([]byte, sim.Time, error) {
-	if d.closed.Load() {
-		return dst, d.env.now.Load(), ErrClosed
-	}
-	if err := d.reserveRead(1 + d.splitPages(1)); err != nil {
-		return dst, d.env.now.Load(), err
-	}
-	d.collectRetired()
-	return d.retrieve(submitAt, key, dst, d.scheme.Compute(key))
-}
-
-// exist is Exist's command body.
-func (d *Device) exist(submitAt sim.Time, key []byte, sig index.Sig) (bool, sim.Time, error) {
-	arrive := d.hostXfer(submitAt, len(key))
-	d.env.now.AdvanceTo(arrive)
-	d.env.ChargeCPU(d.cfg.CmdCPU)
-	d.env.reads = 0
-
-	rp, ok, err := d.idx.Get(sig)
-	d.metaPerOp.Record(d.env.reads)
-	if err != nil {
-		return false, d.env.now.Load(), err
-	}
-	d.stats.exists.Add(1)
-	if !ok {
-		return false, d.env.now.Load(), nil
-	}
-	hdr, storedKey, _, done, err := d.readPair(layout.RP(rp), false, true)
-	if err != nil {
+// exist is the EXIST body. It counts the command once it answers, found
+// or not, and never when it fails.
+func (d *Device) exist(rd *read, submitAt sim.Time, key []byte) (bool, sim.Time, error) {
+	_, done, err := d.find(rd, submitAt, key, d.scheme.Compute(key), false)
+	if err != nil && !errors.Is(err, ErrNotFound) {
 		return false, done, err
 	}
-	return !hdr.Tombstone() && bytes.Equal(storedKey, key), d.env.now.Load(), nil
+	d.stats.exists.Add(1)
+	return err == nil, done, nil
 }
 
-// Exist executes a key-exist command. The index answers from key
-// signatures; on a hit the stored key is fetched and compared, so the
-// result is exact (the extra flash read the paper describes for explicit
-// membership checks as signature collisions become likely).
-func (d *Device) Exist(submitAt sim.Time, key []byte) (bool, sim.Time, error) {
-	if d.closed.Load() {
-		return false, d.env.now.Load(), ErrClosed
+// find is the lookup both bodies share: the probe (lock-free), the
+// command's arrival, the index answer, the pair read and the full-key
+// verify, and then the answer. It returns ErrNotFound when no live pair
+// holds key, and a GET's value (aliasing flash) otherwise.
+func (d *Device) find(rd *read, submitAt sim.Time, key []byte, sig index.Sig, get bool) ([]byte, sim.Time, error) {
+	if rd.r != nil {
+		if err := d.probe(rd, sig); err != nil {
+			return nil, 0, err
+		}
 	}
-	if err := d.reserveRead(1 + d.splitPages(1)); err != nil {
-		return false, d.env.now.Load(), err
+	d.arrive(submitAt, len(key))
+	rp, found, err := d.lookup(rd, sig)
+	done := d.env.now.Load()
+	if err == nil && !found {
+		err = ErrNotFound
 	}
-	d.collectRetired()
-	return d.exist(submitAt, key, d.scheme.Compute(key))
+	var value []byte
+	if err == nil {
+		var hdr layout.PairHeader
+		var stored []byte
+		hdr, stored, value, done, err = d.readPair(layout.RP(rp), get, rd.r == nil)
+		if err == nil && (hdr.Tombstone() || !bytes.Equal(stored, key)) {
+			err = ErrNotFound
+		}
+		done = max(done, d.env.now.Load())
+	}
+	return value, done, d.answer(rd, get, err)
+}
+
+// probe is a lock-free read's index probe. It charges nothing and
+// counts nothing, so a refusal leaves every clock and counter as it
+// was. A found pair whose page is not readable is still in an open
+// page, whose builder only the exclusive lock may read, or was yanked
+// by an overlapping restructure: refuse.
+func (d *Device) probe(rd *read, sig index.Sig) error {
+	var st index.OptStatus
+	rd.probe, st = rd.r.PeekOptimistic(sig)
+	switch {
+	case st == index.OptRetry:
+		return index.ErrOptimisticRetry
+	case st == index.OptNeedExclusive, rd.probe.Found && !d.flash.PageReadable(nand.PPA(layout.RP(rd.probe.RP).Page())):
+		return index.ErrNeedExclusive
+	}
+	return nil
+}
+
+// lookup charges and returns the index's answer for sig. Locked: the
+// index's own Get, which pages in or migrates as it must and counts the
+// index pages it reads. Lock-free: the probe's answer, charged as that
+// Get charges it: the lookup CPU, then the index page read when the
+// probe answered from its bucket's page image.
+func (d *Device) lookup(rd *read, sig index.Sig) (rp uint64, found bool, err error) {
+	if rd.r == nil {
+		d.env.reads = 0
+		rp, found, err = d.idx.Get(sig)
+		rd.meta = d.env.reads
+		return rp, found, err
+	}
+	d.env.ChargeCPU(rd.r.OptimisticLookupCost())
+	if rd.probe.FromPage {
+		if _, err := d.env.chargePage(rd.probe.Page); err != nil {
+			return 0, false, err
+		}
+		rd.meta = 1
+	}
+	return rd.probe.RP, rd.probe.Found, nil
+}
+
+// answer ends a read's lookup, err being its outcome: nil, ErrNotFound
+// or a fault. A lock-free read must first find its probe and the device
+// structure unchanged — its linearization point: the record pointer, the
+// pair bytes and the key comparison all belong to one index state — or
+// it returns ErrOptimisticRetry, and the charges it made stand: the
+// speculative work really occupied the firmware. A lock-free read that
+// does answer applies the cache side effects the locked Get had, and
+// answers a fault as the locked read would. The command's metadata-read
+// sample is recorded here, once.
+func (d *Device) answer(rd *read, get bool, err error) error {
+	if rd.r != nil && !d.settle(rd) {
+		return index.ErrOptimisticRetry
+	}
+	d.metaPerOp.Record(rd.meta)
+	if get {
+		d.metaPerGet.Record(rd.meta)
+	}
+	return err
+}
+
+// settle reports whether a lock-free read's probe and the device
+// structure it began against (mutSeq) are both unchanged, and if so
+// applies the probe's cache side effects.
+func (d *Device) settle(rd *read) bool {
+	if !rd.r.RevalidateOptimistic(rd.probe) || d.mutSeq.Load() != rd.m1 {
+		return false
+	}
+	rd.r.CommitOptimistic(rd.probe)
+	return true
 }

@@ -160,37 +160,6 @@ func (s *Snapshot) FastHits() int64 { return s.fastHits.Load() }
 // not invalidated by a restart).
 func (s *Snapshot) Valid() bool { return !s.released.Load() && !s.invalid.Load() }
 
-// errSnapFallback routes a fast-path attempt to the frozen view. Never
-// escapes this file.
-var errSnapFallback = errors.New("device: snapshot fast path fell back")
-
-// readPairEpoch is readFlashPair plus the record's write epoch,
-// recovered from the page spare's base and the sig entry's delta. Used
-// by both snapshot read paths; the caller guarantees the page is
-// programmed (frozen view) or pre-checked readable (fast path).
-func (d *Device) readPairEpoch(at sim.Time, rp layout.RP, withValue bool) (hdr layout.PairHeader, key, value []byte, recEpoch uint64, done sim.Time, err error) {
-	ppa := nand.PPA(rp.Page())
-	data, spare, done, err := d.flash.Read(at, ppa)
-	if err != nil {
-		return hdr, nil, nil, 0, at, err
-	}
-	info, _, err := layout.SigInfoAt(data, rp.Slot())
-	if err != nil {
-		return hdr, nil, nil, 0, done, err
-	}
-	recEpoch = layout.DataSpareEpoch(spare) + uint64(info.EpochDelta)
-	hdr, key, value, err = layout.DecodePairAt(data, int(info.Offset))
-	if err != nil {
-		return hdr, nil, nil, 0, done, err
-	}
-	if withValue && hdr.ValueLen > len(value) {
-		if value, done, err = d.readExtent(done, ppa, value, hdr.ValueLen); err != nil {
-			return hdr, nil, nil, 0, done, err
-		}
-	}
-	return hdr, key, value, recEpoch, done, nil
-}
-
 // Get reads key's value as of the snapshot instant, with no lock. The
 // value is appended to dst. Returns ErrNotFound when the key had no
 // live value at the snapshot epoch.
@@ -209,13 +178,10 @@ func (s *Snapshot) Get(submitAt sim.Time, key, dst []byte) ([]byte, sim.Time, er
 		return dst, d.env.now.Load(), ErrClosed
 	}
 	sig := d.scheme.Compute(key)
-	v, done, err := s.tryFastGet(sig, submitAt, key, dst)
-	if err != errSnapFallback {
-		if err == nil {
-			s.fastHits.Add(1)
-			s.reads.Add(1)
-		}
-		return v, done, err
+	if v, done, ok := s.tryFastGet(sig, submitAt, key, dst); ok {
+		s.fastHits.Add(1)
+		s.reads.Add(1)
+		return v, done, nil
 	}
 	return s.frozenGet(sig, submitAt, key, dst)
 }
@@ -225,50 +191,30 @@ func (s *Snapshot) Get(submitAt sim.Time, key, dst []byte) ([]byte, sim.Time, er
 // monotone, so that record is simultaneously the newest overall and
 // unchanged since the capture — i.e. the correct version at E. Every
 // other outcome (miss, newer record, raced validation, non-resident
-// bucket, volatile page) returns errSnapFallback; the frozen view then
+// bucket, volatile page) reports false; the frozen view then
 // answers correctly. A failed fast path is therefore a performance
 // matter only, never a correctness one.
-func (s *Snapshot) tryFastGet(sig index.Sig, submitAt sim.Time, key, dst []byte) ([]byte, sim.Time, error) {
+func (s *Snapshot) tryFastGet(sig index.Sig, submitAt sim.Time, key, dst []byte) ([]byte, sim.Time, bool) {
 	d := s.d
-	r := d.optIdx.Load()
-	if r == nil {
-		return dst, 0, errSnapFallback
+	// The sequence before the index, for optBegin's reason (the literal
+	// evaluates left to right).
+	rd := read{m1: d.mutSeq.Load(), r: d.optIdx.Load()}
+	if rd.r == nil || rd.m1&1 != 0 || d.probe(&rd, sig) != nil || !rd.probe.Found {
+		return dst, 0, false
 	}
-	m1 := d.mutSeq.Load()
-	if m1&1 != 0 {
-		return dst, 0, errSnapFallback
+	d.arrive(submitAt, len(key))
+	d.env.ChargeCPU(rd.r.OptimisticLookupCost())
+	var recEpoch uint64
+	hdr, storedKey, value, done, err := d.readFlashPair(d.env.now.Load(), layout.RP(rd.probe.RP), true, &recEpoch)
+	// A record newer than the snapshot, or a signature collision: the
+	// frozen view holds the authoritative answer. The epoch comparison is
+	// only meaningful if the probed binding survived every dependent flash
+	// access intact, which settle checks: the linearization point.
+	if err != nil || recEpoch > s.epoch || hdr.Tombstone() || !bytes.Equal(storedKey, key) || !d.settle(&rd) {
+		return dst, 0, false
 	}
-	probe, st := r.PeekOptimistic(sig)
-	if st != index.OptOK || !probe.Found {
-		return dst, 0, errSnapFallback
-	}
-	if !d.flash.PageReadable(nand.PPA(layout.RP(probe.RP).Page())) {
-		return dst, 0, errSnapFallback
-	}
-	arrive := d.hostXfer(submitAt, len(key))
-	d.env.now.AdvanceTo(arrive)
-	d.env.ChargeCPU(d.cfg.CmdCPU)
-	d.env.ChargeCPU(r.OptimisticLookupCost())
-	hdr, storedKey, value, recEpoch, done, err := d.readPairEpoch(d.env.now.Load(), layout.RP(probe.RP), true)
-	if err != nil {
-		return dst, 0, errSnapFallback
-	}
-	if recEpoch > s.epoch || hdr.Tombstone() || !bytes.Equal(storedKey, key) {
-		// Newer than the snapshot, or a signature collision — the frozen
-		// view holds the authoritative answer.
-		return dst, 0, errSnapFallback
-	}
-	if now := d.env.now.Load(); done < now {
-		done = now
-	}
-	// Linearization point: the epoch comparison above is only meaningful
-	// if the probed binding survived every dependent flash access intact.
-	if !r.RevalidateOptimistic(probe) || d.mutSeq.Load() != m1 {
-		return dst, 0, errSnapFallback
-	}
-	r.CommitOptimistic(probe)
-	done = d.hostXfer(done, len(value)).Add(d.cfg.AckOverhead)
-	return append(dst, value...), done, nil
+	done = d.hostXfer(max(done, d.env.now.Load()), len(value)).Add(d.cfg.AckOverhead)
+	return append(dst, value...), done, true
 }
 
 // frozenGet serves a point read from the immutable captured view: a
@@ -279,9 +225,7 @@ func (s *Snapshot) tryFastGet(sig index.Sig, submitAt sim.Time, key, dst []byte)
 // still held throughout, so every byte read was stable.
 func (s *Snapshot) frozenGet(sig index.Sig, submitAt sim.Time, key, dst []byte) ([]byte, sim.Time, error) {
 	d := s.d
-	arrive := d.hostXfer(submitAt, len(key))
-	d.env.now.AdvanceTo(arrive)
-	d.env.ChargeCPU(d.cfg.CmdCPU)
+	d.arrive(submitAt, len(key))
 	i := sort.Search(len(s.view), func(i int) bool {
 		if s.view[i].Lo != sig.Lo {
 			return s.view[i].Lo > sig.Lo
@@ -295,25 +239,21 @@ func (s *Snapshot) frozenGet(sig index.Sig, submitAt sim.Time, key, dst []byte) 
 		s.reads.Add(1)
 		return dst, d.env.now.Load(), ErrNotFound
 	}
-	hdr, storedKey, value, _, done, err := d.readPairEpoch(d.env.now.Load(), layout.RP(s.view[i].RP), true)
-	if err != nil {
-		if s.invalid.Load() {
-			return dst, d.env.now.Load(), ErrSnapshotInvalid
-		}
-		return dst, d.env.now.Load(), err
-	}
+	hdr, storedKey, value, done, err := d.readFlashPair(d.env.now.Load(), layout.RP(s.view[i].RP), true, nil)
 	if s.invalid.Load() {
 		return dst, d.env.now.Load(), ErrSnapshotInvalid
+	}
+	if err != nil {
+		return dst, d.env.now.Load(), err
 	}
 	if now := d.env.now.Load(); done < now {
 		done = now
 	}
+	s.reads.Add(1)
 	if hdr.Tombstone() || !bytes.Equal(storedKey, key) {
-		s.reads.Add(1)
 		return dst, done, ErrNotFound
 	}
 	done = d.hostXfer(done, len(value)).Add(d.cfg.AckOverhead)
-	s.reads.Add(1)
 	return append(dst, value...), done, nil
 }
 
@@ -338,8 +278,7 @@ func (s *Snapshot) Scan(submitAt sim.Time, prefix []byte, withValues bool) ([]It
 	if d.closed.Load() {
 		return nil, d.env.now.Load(), ErrClosed
 	}
-	d.env.now.AdvanceTo(submitAt)
-	d.env.ChargeCPU(d.cfg.CmdCPU)
+	d.arrive(submitAt, 0)
 	var rps []uint64
 	if p := d.scheme.PrefixLen; p > 0 && len(prefix) >= p {
 		low := d.scheme.PrefixLow(prefix)

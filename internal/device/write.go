@@ -220,6 +220,13 @@ func (d *Device) hostXfer(at sim.Time, bytes int) sim.Time {
 	return done
 }
 
+// arrive charges a command's arrival, its payload of n bytes crossing
+// the host link, and its command CPU.
+func (d *Device) arrive(submitAt sim.Time, n int) {
+	d.env.now.AdvanceTo(d.hostXfer(submitAt, n))
+	d.env.ChargeCPU(d.cfg.CmdCPU)
+}
+
 // Store executes a put command submitted at submitAt, returning its
 // completion time. A store of an existing key verifies the stored key
 // (signature re-use, §IV-A3), writes the new pair log-style, updates the
@@ -237,10 +244,7 @@ func (d *Device) Store(submitAt sim.Time, key, value []byte) (sim.Time, error) {
 	}
 	// The command and its payload cross the host link before the
 	// firmware can process it.
-	arrive := d.hostXfer(submitAt, len(key)+len(value))
-	d.env.now.AdvanceTo(arrive)
-	start := submitAt
-	d.env.ChargeCPU(d.cfg.CmdCPU)
+	d.arrive(submitAt, len(key)+len(value))
 	// A new block for the pair (one extent never spans two) and the index
 	// write-backs of a lookup and an insert.
 	if err := d.reserve(1 + d.indexBlocks(1+d.splitPages(2))); err != nil {
@@ -312,7 +316,7 @@ func (d *Device) Store(submitAt sim.Time, key, value []byte) (sim.Time, error) {
 		return d.env.now.Load(), err
 	}
 	done := d.env.now.Load().Add(d.cfg.AckOverhead)
-	d.latStore.Record(int64(done.Sub(start)))
+	d.latStore.Record(int64(done.Sub(submitAt)))
 	return done, nil
 }
 
@@ -322,9 +326,7 @@ func (d *Device) Delete(submitAt sim.Time, key []byte) (sim.Time, error) {
 	if d.closed.Load() {
 		return d.env.now.Load(), ErrClosed
 	}
-	arrive := d.hostXfer(submitAt, len(key))
-	d.env.now.AdvanceTo(arrive)
-	d.env.ChargeCPU(d.cfg.CmdCPU)
+	d.arrive(submitAt, len(key))
 	// A new block for the tombstone and the index write-backs of a lookup
 	// and a delete.
 	if err := d.reserve(1 + d.indexBlocks(1+d.splitPages(2))); err != nil {

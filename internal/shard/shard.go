@@ -15,8 +15,9 @@
 //
 // Locking model: each shard carries a sync.RWMutex. Mutating commands
 // (Store, Delete, Iterate, checkpoint/restart/close, batches) hold the
-// write lock. Reads have two tiers. TryRetrieveAppend and TryExist run
-// the lock-free tier only: the device's TryRetrieveOptimistic /
+// write lock. Reads have two tiers, which run the device's one GET and
+// one EXIST body in two modes. TryRetrieveAppend and TryExist run the
+// lock-free tier only: the device's TryRetrieveOptimistic /
 // TryExistOptimistic validate against per-table seqlocks and
 // epoch-pinned reclamation, returning ErrOptimisticRetry when a
 // concurrent writer invalidated the attempt (retried up to
@@ -188,13 +189,14 @@ func (s *Set) RetrieveAppend(dst, key []byte) ([]byte, error) {
 	return v, err
 }
 
-// TryRetrieveAppend is RetrieveAppend's lock-free tier alone. It
-// returns index.ErrNeedExclusive when only the shard's write lock can
-// serve the read: a page-in that installs the table, a lazy migration, a
-// value still in an open page buffer, an index without an optimistic
-// surface, or a writer that
-// kept invalidating the attempt. A refusal at the probe charges no
-// simulated time; RetrieveAppend then serves the read under the lock.
+// TryRetrieveAppend is RetrieveAppend's lock-free tier alone: the
+// device's one GET body, run with no lock. It returns
+// index.ErrNeedExclusive when only the shard's write lock can serve the
+// read: a page-in that installs the table, a lazy migration, a value
+// still in an open page buffer, an index without an optimistic surface,
+// or a writer that kept invalidating the attempt. A refusal at the probe
+// charges no simulated time; RetrieveAppend then serves the read under
+// the lock. A flash fault is the read's answer in either tier.
 func (s *Set) TryRetrieveAppend(dst, key []byte) ([]byte, error) {
 	return s.shardOf(key).tryRetrieve(dst, key)
 }
